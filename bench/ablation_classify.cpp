@@ -26,34 +26,29 @@ int main()
     for (const uint64_t limit : {100ull, 1'000ull, 10'000ull, 100'000ull,
                                  1'000'000ull}) {
         auto net = gen_md5();
-        mc_database db;
-        classification_cache cache{{.iteration_limit = limit}};
-        rewrite_params params;
-        params.classification_iteration_limit = limit;
-        const auto stats = mc_rewrite_round(net, db, cache, params);
+        pass_context ctx{{.classification_iteration_limit = limit}};
+        const auto stats = mc_rewrite_round(net, ctx);
         std::printf("%-8s %10llu | %10u %12llu %10.2f %10llu\n", "md5",
                     static_cast<unsigned long long>(limit), stats.ands_after,
                     static_cast<unsigned long long>(stats.classify_failures),
                     stats.seconds,
-                    static_cast<unsigned long long>(cache.hits()));
+                    static_cast<unsigned long long>(stats.canon_cache_hits));
     }
 
     std::printf("\ncache effect (md5, one round, limit 100k):\n");
     {
         auto net = gen_md5();
-        mc_database db;
-        classification_cache cache;
-        const auto stats = mc_rewrite_round(net, db, cache);
+        pass_context ctx;
+        const auto stats = mc_rewrite_round(net, ctx);
         std::printf("  with cache:   %.2fs (%zu entries, %llu hits)\n",
-                    stats.seconds, cache.size(),
-                    static_cast<unsigned long long>(cache.hits()));
+                    stats.seconds, ctx.scratch(0).classification.size(),
+                    static_cast<unsigned long long>(stats.canon_cache_hits));
     }
     {
         // A fresh cache per cut simulates "no cache": approximate by
         // clearing between rounds — here we emulate it with a tiny
         // iteration budget spent on classify misses only.
         auto net = gen_md5();
-        mc_database db;
         double seconds = 0;
         // Classify a sample of cuts afresh and extrapolate to the ~300k
         // cut evaluations of a full round.

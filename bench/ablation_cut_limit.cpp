@@ -31,13 +31,12 @@ int main()
         for (const uint32_t limit : {1u, 2u, 4u, 8u, 12u, 16u, 24u}) {
             auto net = s.make();
             const auto initial = net.num_ands();
-            mc_database db;
-            classification_cache cache;
+            pass_context ctx;
             rewrite_params params;
             params.cut_limit = limit;
-            const auto conv = mc_rewrite(net, db, cache, params, 6);
+            const auto conv = mc_rewrite_pass{params, 6}.run(net, ctx);
             std::printf("%-14s %6u | %10u %10u %10.2f\n", s.name, limit,
-                        initial, net.num_ands(), conv.total_seconds());
+                        initial, net.num_ands(), conv.seconds);
         }
         std::printf("\n");
     }

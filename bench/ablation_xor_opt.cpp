@@ -36,10 +36,9 @@ int main()
         {"comparator32", gen_comparator_lt_unsigned(32)},
     };
 
-    mc_database db;
-    classification_cache cache;
+    pass_context ctx;
     for (auto& s : specs) {
-        mc_rewrite(s.circuit, db, cache, {}, 6);
+        mc_rewrite_pass{{}, 6}.run(s.circuit, ctx);
         const auto ands = s.circuit.num_ands();
         const auto xors = s.circuit.num_xors();
         const auto start = std::chrono::steady_clock::now();

@@ -3,7 +3,7 @@
 // its affine class representative is the AND function 0x88, and rewriting
 // brings the full adder from 3 AND gates down to its multiplicative
 // complexity of 1.
-#include "core/rewrite.h"
+#include "core/pass.h"
 #include "db/mc_database.h"
 #include "spectral/classification.h"
 #include "xag/cleanup.h"
@@ -60,7 +60,8 @@ int main()
 
     // Fig. 2(c): rewrite the full adder.
     const auto golden = simulate(net);
-    const auto result = mc_rewrite(net);
+    pass_context ctx;
+    const auto result = mc_rewrite_pass{}.run(net, ctx);
     std::printf("\nAfter cut rewriting (Alg. 1): %u AND, %u XOR "
                 "(%zu round(s))\n",
                 net.num_ands(), net.num_xors(), result.rounds.size());

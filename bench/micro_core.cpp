@@ -13,7 +13,7 @@
 // classify_affine_baseline on the cold-cache workload (ISSUE 1/3
 // acceptance criteria).
 #include "core/flow.h"
-#include "core/rewrite.h"
+#include "core/pass.h"
 #include "cut/cut_enumeration.h"
 #include "sat/equivalence.h"
 #include "sat/solver.h"
@@ -316,13 +316,12 @@ int main()
 
     // ------------------------------------- full round with stage breakdown
     auto net = gen_adder(64);
-    mc_database db;
-    classification_cache cls_cache;
-    const auto round = mc_rewrite_round(net, db, cls_cache);
+    pass_context warm_ctx; // database and cache shards persist across stages
+    const auto round = mc_rewrite_round(net, warm_ctx);
 
     // ------------------------- flow-level A/B: batched cone simulation
     // Same workload (64-bit adder), same warmed database and caches: the
-    // only difference is whether the rewrite loop evaluates all of a
+    // only difference is whether the round evaluates all of a
     // node's cut functions in one union-cone traversal (cone_simulator)
     // or re-simulates per cut (the PR 1 path).  Minimum of three runs
     // each; CI gates on the batched path being no slower.
@@ -332,14 +331,14 @@ int main()
             auto n64 = gen_adder(64);
             rewrite_params p;
             p.batched_simulation = true;
-            const auto r = mc_rewrite_round(n64, db, cls_cache, p);
+            const auto r = mc_rewrite_round(n64, warm_ctx, p);
             batched_s = std::min(batched_s, r.seconds);
         }
         {
             auto n64 = gen_adder(64);
             rewrite_params p;
             p.batched_simulation = false;
-            const auto r = mc_rewrite_round(n64, db, cls_cache, p);
+            const auto r = mc_rewrite_round(n64, warm_ctx, p);
             unbatched_s = std::min(unbatched_s, r.seconds);
         }
     }
@@ -388,13 +387,13 @@ int main()
             {
                 obs::set_metrics_enabled(true);
                 auto n64 = gen_adder(64);
-                const auto r = mc_rewrite_round(n64, db, cls_cache);
+                const auto r = mc_rewrite_round(n64, warm_ctx);
                 obs_on_s = std::min(obs_on_s, r.seconds);
             }
             {
                 obs::set_metrics_enabled(false);
                 auto n64 = gen_adder(64);
-                const auto r = mc_rewrite_round(n64, db, cls_cache);
+                const auto r = mc_rewrite_round(n64, warm_ctx);
                 obs_off_s = std::min(obs_off_s, r.seconds);
             }
         }

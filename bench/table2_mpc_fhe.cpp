@@ -23,8 +23,7 @@ int main()
     std::printf("mcx — Table 2 (MPC and FHE benchmarks), %s\n",
                 full ? "full variants" : "reduced variants");
 
-    mc_database db;
-    classification_cache cache;
+    pass_context ctx;
 
     struct spec {
         const char* name;
@@ -59,7 +58,7 @@ int main()
     std::vector<row> rows;
     const uint32_t max_rounds = full ? 16 : 8;
     for (auto& s : specs) {
-        auto r = run_protocol(s.name, std::move(s.circuit), db, cache, {},
+        auto r = run_protocol(s.name, std::move(s.circuit), ctx, {},
                               max_rounds);
         r.paper_improvement_one = s.paper_one;
         r.paper_improvement_conv = s.paper_conv;
@@ -81,6 +80,8 @@ int main()
                         "paper reaches 64)\n",
                         r.final_and);
     }
+    const auto& cache = ctx.scratch(0).classification;
+    auto& db = ctx.mc_db();
     std::printf("classification cache: %zu entries, %llu hits; database: %zu "
                 "entries (%llu exact, %llu heuristic)\n",
                 cache.size(),

@@ -41,36 +41,8 @@ diff -u build/bench_keys_committed.txt build/bench_keys_fresh.txt || {
 ./build/tools/mcx --flow mc+xor build/adder16.bench \
     -o build/adder16_bench_opt.bench --report FLOW_smoke_bench.json
 
-# Incremental-cuts smoke: maintaining cut sets across rounds (the default)
-# must produce output bit-identical to full re-enumeration every round
-# (src/cut/cut_incremental.h contract).
-./build/tools/mcx --flow mc+xor --incremental-cuts off gen:adder:16 \
-    -o build/adder16_noinc.bench
-cmp build/adder16_opt.bench build/adder16_noinc.bench || {
-    echo "ci.sh: --incremental-cuts off output differs from the default" >&2
-    exit 1
-}
-
-# Incremental-evaluate smoke: the dirty-set evaluate cache (the default)
-# must be byte-invisible next to full re-evaluation every round
-# (docs/hot-path.md dirty-set contract).
-./build/tools/mcx --flow mc+xor --incremental-eval off gen:adder:16 \
-    -o build/adder16_noeval.bench
-cmp build/adder16_opt.bench build/adder16_noeval.bench || {
-    echo "ci.sh: --incremental-eval off output differs from the default" >&2
-    exit 1
-}
-
-# All-oracle smoke: every incremental subsystem disabled at once, with the
-# cold whole-network SAT miter as the verifier — the slowest, most direct
-# pipeline there is.  Output must still match the all-incremental default,
-# and the iterated flow must pass warm incremental SAT verification too.
-./build/tools/mcx --flow mc+xor --incremental-cuts off --incremental-eval off \
-    --verify sat-cold gen:adder:16 -o build/adder16_oracle.bench
-cmp build/adder16_opt.bench build/adder16_oracle.bench || {
-    echo "ci.sh: all-oracle run output differs from the incremental default" >&2
-    exit 1
-}
+# Warm incremental SAT verification of an iterated flow: the report must
+# carry the per-check solver records.
 ./build/tools/mcx --flow mc+xor --iterate --verify sat gen:adder:16 \
     -o build/adder16_satwarm.bench --report FLOW_smoke_sat.json
 grep -q '"sat_conflicts"' FLOW_smoke_sat.json || {
@@ -78,26 +50,9 @@ grep -q '"sat_conflicts"' FLOW_smoke_sat.json || {
     exit 1
 }
 
-# SAT-engine smoke (docs/sat.md): the retained legacy CDCL core must
-# reach the same verified AND count as the modern default through the
-# whole flow (both exit 0 only when equivalence holds; the synthesized
-# structures may differ — exact-synthesis models are not unique — so the
-# comparison is on the optimality claim, not bytes).  The report records
-# which engine ran.  The cold whole-network miter — the verify path that
-# exercises the modern core's preprocessor — must be byte-invisible next
-# to the default simulation check.
-./build/tools/mcx --flow mc+xor --sat-engine legacy gen:adder:16 \
-    -o build/adder16_legacy.bench --report FLOW_smoke_satlegacy.json
-python3 - FLOW_smoke_gen.json FLOW_smoke_satlegacy.json <<'PY'
-import json, sys
-modern, legacy = (json.load(open(p)) for p in sys.argv[1:3])
-assert modern["sat_engine"] == "modern", modern["sat_engine"]
-assert legacy["sat_engine"] == "legacy", legacy["sat_engine"]
-for rep in (modern, legacy):
-    assert rep["verified"], f'{rep["sat_engine"]} flow failed verification'
-ma, la = modern["after"]["ands"], legacy["after"]["ands"]
-assert ma == la, f"engine-dependent AND count: modern {ma} vs legacy {la}"
-PY
+# The cold whole-network miter — the verify path that exercises the
+# modern SAT core's preprocessor (docs/sat.md) — must be byte-invisible
+# next to the default simulation check.
 ./build/tools/mcx --flow mc+xor --verify sat-cold gen:adder:16 \
     -o build/adder16_satcold.bench
 cmp build/adder16_opt.bench build/adder16_satcold.bench || {
@@ -105,17 +60,26 @@ cmp build/adder16_opt.bench build/adder16_satcold.bench || {
     exit 1
 }
 
-# Parallel flow smoke: the two-phase engine at 4 workers must verify and
-# produce output bit-identical to its 1-worker reference run
-# (docs/parallel.md determinism contract).
+# Parallel flow smoke (docs/parallel.md determinism contract): the
+# default run (one worker) must be bit-identical to explicit --threads 1
+# and --threads 4 runs — on adder16, and on aes128, whose XOR pass has a
+# binding pairing budget.
 ./build/tools/mcx --flow mc+xor --threads 4 gen:adder:16 \
     -o build/adder16_par4.bench --report FLOW_smoke_par.json
 ./build/tools/mcx --flow mc+xor --threads 1 gen:adder:16 \
     -o build/adder16_par1.bench
-cmp build/adder16_par4.bench build/adder16_par1.bench || {
-    echo "ci.sh: --threads 4 output differs from --threads 1" >&2
-    exit 1
-}
+./build/tools/mcx --flow mc+xor gen:aes128 -o build/aes128_opt.bench
+./build/tools/mcx --flow mc+xor --threads 1 gen:aes128 \
+    -o build/aes128_par1.bench
+./build/tools/mcx --flow mc+xor --threads 4 gen:aes128 \
+    -o build/aes128_par4.bench
+for pair in adder16_opt:adder16_par1 adder16_opt:adder16_par4 \
+            aes128_opt:aes128_par1 aes128_opt:aes128_par4; do
+    cmp "build/${pair%%:*}.bench" "build/${pair##*:}.bench" || {
+        echo "ci.sh: ${pair##*:} output differs from the default run" >&2
+        exit 1
+    }
+done
 grep -q '"threads": 4' FLOW_smoke_par.json || {
     echo "ci.sh: FLOW_smoke_par.json lacks the per-pass thread count" >&2
     exit 1
@@ -248,9 +212,7 @@ fi
 # usage dump.
 help_text=$(./build/tools/mcx --help)
 for flag in --flow --iterate --rounds --cut-size --cut-limit --zero-gain \
-            --verify --report --seed --no-batch --classify-baseline \
-            --incremental-cuts --incremental-eval --sat-commits \
-            --sat-engine \
+            --verify --report --seed --sat-commits \
             --deadline --pass-deadline --on-limit \
             --trace --progress \
             --threads --bristol --output --list-gens --list-flows; do
@@ -267,6 +229,16 @@ grep -q "unknown option" <<<"$unknown_msg" || {
     echo "ci.sh: mcx unknown-flag message regressed" >&2
     exit 1
 }
+# The removed engine switches are unknown flags now: usage error, exit 2.
+for flag in --no-batch --classify-baseline --incremental-cuts \
+            --incremental-eval --sat-engine; do
+    status=0
+    ./build/tools/mcx "$flag" gen:adder:4 >/dev/null 2>&1 || status=$?
+    [ "$status" -eq 2 ] || {
+        echo "ci.sh: mcx $flag exited $status, expected 2" >&2
+        exit 1
+    }
+done
 
 # Documentation checks: every file under docs/ is reachable from
 # README.md, and no markdown file references a relative path that does
@@ -331,6 +303,6 @@ cmake --build build-asan -j"$(nproc)" --target sat_test
 
 echo "ci.sh: all gates passed (JSON artifacts: BENCH_micro_core.json," \
      "FLOW_smoke_gen.json, FLOW_smoke_bench.json, FLOW_smoke_par.json," \
-     "FLOW_smoke_sat.json, FLOW_smoke_satlegacy.json," \
+     "FLOW_smoke_sat.json," \
      "FLOW_smoke_deadline.json, FLOW_smoke_sigint.json," \
      "FLOW_smoke_fault.json, FLOW_smoke_progress.json)"

@@ -3,7 +3,7 @@
 // (the interchange format of the paper's Table 2 benchmarks).
 //
 //   $ ./examples/export_bristol [output-directory]
-#include "core/rewrite.h"
+#include "core/pass.h"
 #include "gen/arithmetic.h"
 #include "io/bristol.h"
 #include "xag/cleanup.h"
@@ -27,11 +27,10 @@ int main(int argc, char** argv)
         {"lt32_mc.bristol", gen_comparator_lt_unsigned(32)},
     };
 
-    mc_database db;
-    classification_cache cache;
+    pass_context ctx;
     for (auto& j : jobs) {
         const auto before = j.circuit.num_ands();
-        mc_rewrite(j.circuit, db, cache);
+        mc_rewrite_pass{}.run(j.circuit, ctx);
         auto clean = cleanup(j.circuit);
         const auto path = dir + "/" + j.file;
         write_bristol_file(clean, path);

@@ -5,7 +5,7 @@
 // minimizes their multiplicative complexity, and prices the result.
 //
 //   $ ./examples/mpc_cost_report
-#include "core/rewrite.h"
+#include "core/pass.h"
 #include "gen/arithmetic.h"
 #include "gen/hashes.h"
 #include "xag/depth.h"
@@ -32,12 +32,11 @@ int main()
                 "AND before", "after", "KiB before", "after", "saved",
                 "AND depth");
 
-    mc_database db;
-    classification_cache cache;
+    pass_context ctx;
     double total_before = 0, total_after = 0;
     for (auto& item : items) {
         const auto before = item.circuit.num_ands();
-        mc_rewrite(item.circuit, db, cache, {}, 8);
+        mc_rewrite_pass{{}, 8}.run(item.circuit, ctx);
         const auto after = item.circuit.num_ands();
         const double kib_before = before * bytes_per_and / 1024.0;
         const double kib_after = after * bytes_per_and / 1024.0;

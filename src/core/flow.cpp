@@ -13,12 +13,17 @@ namespace {
 std::shared_ptr<const pass> make_pass(std::string_view token,
                                       const flow_params& params)
 {
-    if (token == "mc")
-        return std::make_shared<mc_rewrite_pass>(params.rewrite,
-                                                 params.max_rounds);
-    if (token == "size" || token == "size-baseline")
-        return std::make_shared<size_rewrite_pass>(params.size_rewrite,
+    if (token == "mc") {
+        auto rewrite = params.rewrite;
+        rewrite.num_threads = params.num_threads;
+        return std::make_shared<mc_rewrite_pass>(rewrite, params.max_rounds);
+    }
+    if (token == "size" || token == "size-baseline") {
+        auto size_rewrite = params.size_rewrite;
+        size_rewrite.num_threads = params.num_threads;
+        return std::make_shared<size_rewrite_pass>(size_rewrite,
                                                    params.max_rounds);
+    }
     if (token == "xor")
         return std::make_shared<xor_resynthesis_pass>(params.num_threads);
     if (token == "cleanup")
@@ -111,9 +116,7 @@ pass_context_params context_params(const flow_params& params)
     return {.mc_db = params.rewrite.db,
             .size_db = params.size_rewrite.db,
             .classification_iteration_limit =
-                params.rewrite.classification_iteration_limit,
-            .classification_word_parallel =
-                params.rewrite.classification_word_parallel};
+                params.rewrite.classification_iteration_limit};
 }
 
 flow make_flow(std::string_view spec, const flow_params& params)
@@ -121,10 +124,6 @@ flow make_flow(std::string_view spec, const flow_params& params)
     flow f;
     f.name = std::string{spec};
     f.params = params;
-    if (f.params.num_threads != 0) {
-        f.params.rewrite.num_threads = f.params.num_threads;
-        f.params.size_rewrite.num_threads = f.params.num_threads;
-    }
     size_t begin = 0;
     while (begin <= spec.size()) {
         size_t end = begin;

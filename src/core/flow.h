@@ -34,13 +34,12 @@ struct flow_params {
     /// (bounded by max_flow_iterations).
     bool iterate_until_convergence = false;
     uint32_t max_flow_iterations = 10;
-    /// Flow-level worker count (`mcx --threads`): when non-zero it
-    /// overrides rewrite.num_threads and size_rewrite.num_threads, so
-    /// every rewrite pass of the flow runs the deterministic two-phase
-    /// engine on this many workers.  0 leaves the per-pass values (and
-    /// their sequential default) alone.  Results are bit-identical for
-    /// any value >= 1 — see docs/parallel.md.
-    uint32_t num_threads = 0;
+    /// Flow-level worker count (`mcx --threads`): every pass make_flow
+    /// builds runs on this many workers.  The per-pass
+    /// `rewrite.num_threads` and `size_rewrite.num_threads` are not read
+    /// under a flow.  Results are bit-identical for any value — see
+    /// docs/parallel.md.
+    uint32_t num_threads = 1;
     /// Flow-level cooperative stop (`mcx --deadline`, SIGINT/SIGTERM).
     /// When it stops, the running pass finishes at its next commit
     /// boundary and the flow ends — no further passes run.

@@ -9,10 +9,13 @@ namespace mcx {
 namespace {
 
 uint32_t mffc_count(const xag& network, uint32_t root,
-                    std::span<const uint32_t> leaves, bool count_xor)
+                    std::span<const uint32_t> leaves,
+                    std::span<const uint32_t> pinned, bool count_xor)
 {
     const std::unordered_set<uint32_t> leaf_set(leaves.begin(), leaves.end());
     std::unordered_map<uint32_t, uint32_t> remaining;
+    for (const auto p : pinned)
+        ++remaining.try_emplace(p, network.ref_count(p)).first->second;
     uint32_t count = 0;
 
     // Simulated dereferencing: a fanin whose (local) reference count drops
@@ -39,15 +42,17 @@ uint32_t mffc_count(const xag& network, uint32_t root,
 } // namespace
 
 uint32_t mffc_and_count(const xag& network, uint32_t root,
-                        std::span<const uint32_t> leaves)
+                        std::span<const uint32_t> leaves,
+                        std::span<const uint32_t> pinned)
 {
-    return mffc_count(network, root, leaves, false);
+    return mffc_count(network, root, leaves, pinned, false);
 }
 
 uint32_t mffc_gate_count(const xag& network, uint32_t root,
-                         std::span<const uint32_t> leaves)
+                         std::span<const uint32_t> leaves,
+                         std::span<const uint32_t> pinned)
 {
-    return mffc_count(network, root, leaves, true);
+    return mffc_count(network, root, leaves, pinned, true);
 }
 
 } // namespace mcx

@@ -12,11 +12,16 @@
 namespace mcx {
 
 /// Number of AND gates in the MFFC of `root` with respect to `leaves`.
+/// Each entry of `pinned` holds one extra reference on its node (the
+/// fanin edges of a replacement not yet built), so a pinned node and the
+/// cone only it keeps alive are not counted.
 uint32_t mffc_and_count(const xag& network, uint32_t root,
-                        std::span<const uint32_t> leaves);
+                        std::span<const uint32_t> leaves,
+                        std::span<const uint32_t> pinned = {});
 
 /// Number of gates (AND + XOR) in the MFFC of `root` w.r.t. `leaves`.
 uint32_t mffc_gate_count(const xag& network, uint32_t root,
-                         std::span<const uint32_t> leaves);
+                         std::span<const uint32_t> leaves,
+                         std::span<const uint32_t> pinned = {});
 
 } // namespace mcx

@@ -37,27 +37,6 @@ size_database& pass_context::size_db()
     return *size_db_;
 }
 
-classification_cache& pass_context::classification()
-{
-    if (external_cls_)
-        return *external_cls_;
-    if (!cls_cache_)
-        cls_cache_ = std::make_unique<classification_cache>(
-            classification_params{
-                .iteration_limit = params_.classification_iteration_limit,
-                .word_parallel = params_.classification_word_parallel});
-    return *cls_cache_;
-}
-
-npn_cache& pass_context::npn()
-{
-    if (external_npn_)
-        return *external_npn_;
-    if (!npn_cache_)
-        npn_cache_ = std::make_unique<npn_cache>();
-    return *npn_cache_;
-}
-
 thread_pool& pass_context::pool(uint32_t num_threads)
 {
     if (num_threads == 0)
@@ -72,8 +51,7 @@ pass_scratch& pass_context::scratch(uint32_t worker)
     while (scratch_.size() <= worker)
         scratch_.push_back(std::make_unique<pass_scratch>(
             classification_params{
-                .iteration_limit = params_.classification_iteration_limit,
-                .word_parallel = params_.classification_word_parallel}));
+                .iteration_limit = params_.classification_iteration_limit}));
     return *scratch_[worker];
 }
 
@@ -85,10 +63,11 @@ namespace {
 /// v-masked leaf parity and the optional complement.  Only XOR gates and
 /// inverters are created around the representative — AND count is exactly
 /// the database entry's (modulo structural hashing savings).
-signal splice_affine(xag& dst, const affine_transform& t,
+template <typename Dst>
+signal splice_affine(Dst& dst, const affine_transform& t,
                      std::span<const signal> leaves, const xag& repr_circuit)
 {
-    std::vector<signal> repr_inputs(t.num_vars);
+    std::array<signal, 6> repr_inputs{};
     for (uint32_t i = 0; i < t.num_vars; ++i) {
         auto acc = dst.get_constant(((t.c >> i) & 1) != 0);
         for (uint32_t k = 0; k < t.num_vars; ++k)
@@ -96,7 +75,8 @@ signal splice_affine(xag& dst, const affine_transform& t,
                 acc = dst.create_xor(acc, leaves[k]);
         repr_inputs[i] = acc;
     }
-    auto out = insert_network(dst, repr_circuit, repr_inputs)[0];
+    auto out = insert_network(dst, repr_circuit,
+                              std::span{repr_inputs.data(), t.num_vars})[0];
     for (uint32_t k = 0; k < t.num_vars; ++k)
         if ((t.v >> k) & 1)
             out = dst.create_xor(out, leaves[k]);
@@ -105,16 +85,170 @@ signal splice_affine(xag& dst, const affine_transform& t,
 
 /// Splice for the NPN baseline: permutation, input and output complements
 /// are all free on XAG edges.
-signal splice_npn(xag& dst, const npn_transform& t,
+template <typename Dst>
+signal splice_npn(Dst& dst, const npn_transform& t,
                   std::span<const signal> leaves, const xag& repr_circuit)
 {
-    std::vector<signal> repr_inputs(t.num_vars);
+    std::array<signal, 6> repr_inputs{};
     for (uint32_t i = 0; i < t.num_vars; ++i)
         repr_inputs[i] =
             leaves[t.perm[i]] ^ (((t.input_negation >> i) & 1) != 0);
-    const auto out = insert_network(dst, repr_circuit, repr_inputs)[0];
+    const auto out = insert_network(
+        dst, repr_circuit, std::span{repr_inputs.data(), t.num_vars})[0];
     return out ^ t.output_negation;
 }
+
+/// A candidate measured without being built.  The splice replays against
+/// the frozen network through xag::find_gate, so a gate that folds or
+/// already exists costs nothing — exactly what create_and/create_xor will
+/// do at commit time — while a gate that would be new gets an id past the
+/// end of the network and local structural hashing among its peers.  Every
+/// existing gate a new gate (or the output) would reference is recorded as
+/// a pin for the pinned MFFC count, and a candidate whose cone would reach
+/// the rewrite root is flagged (commit-time containment check).  Read-only
+/// on the network, so every evaluate worker probes concurrently.
+class splice_probe {
+public:
+    splice_probe(const xag& net, uint32_t root,
+                 std::span<const uint32_t> cut_leaves, pass_scratch& sc)
+        : net_{net}, root_{root}, base_{net.size()}, cut_leaves_{cut_leaves},
+          gates_{sc.probe_gates}, pins_{sc.probe_pins},
+          reach_{sc.probe_reach}, cone_{sc.probe_cone},
+          stack_{sc.probe_stack}, outside_{sc.probe_outside}
+    {
+        gates_.clear();
+        pins_.clear();
+        reach_.clear();
+        cone_.clear();
+        outside_.clear();
+    }
+
+    signal get_constant(bool value) const { return net_.get_constant(value); }
+    signal create_and(signal a, signal b)
+    {
+        return create(node_kind::and_gate, a, b);
+    }
+    signal create_xor(signal a, signal b)
+    {
+        return create(node_kind::xor_gate, a, b);
+    }
+
+    /// Pin the output like take_ref would; false when the candidate is the
+    /// root itself or its cone would contain the root.
+    bool finish(signal out)
+    {
+        if (out.node() == root_ || reaches_root(out))
+            return false;
+        pin(out.node());
+        return true;
+    }
+
+    uint64_t new_ands() const
+    {
+        return static_cast<uint64_t>(
+            std::count_if(gates_.begin(), gates_.end(),
+                          [](const auto& g) { return g.is_and; }));
+    }
+    uint64_t new_gates() const { return gates_.size(); }
+    std::span<const uint32_t> pins() const { return pins_; }
+
+    /// Existing gates outside the root's cone over the cut that the splice
+    /// built on.  The cost depends on their fanouts' structural-hashing
+    /// entries, which the evaluate dirty set does not cover (it covers the
+    /// cone and the cut leaves), so they become the winner's `outside`
+    /// dependencies.
+    std::span<const uint32_t> outside() const { return outside_; }
+
+private:
+    signal create(node_kind kind, signal a, signal b)
+    {
+        note_operand(a.node());
+        note_operand(b.node());
+        if (const auto found = net_.find_gate(kind, a, b)) {
+            const auto f = found->node();
+            // A structural-hashing hit (not a fold to an operand or a
+            // constant) is an existing gate over a and b.
+            if (f < base_ && f != 0 && f != a.node() && f != b.node() &&
+                (f == root_ || reaches_root(a) || reaches_root(b)))
+                reach_.push_back(f);
+            return *found;
+        }
+        const bool is_and = kind == node_kind::and_gate;
+        bool parity = false;
+        if (!is_and) {
+            parity = a.complemented() != b.complemented();
+            a = signal{a.node(), false};
+            b = signal{b.node(), false};
+        }
+        if (a.literal() > b.literal())
+            std::swap(a, b);
+        for (size_t i = 0; i < gates_.size(); ++i)
+            if (gates_[i].is_and == is_and && gates_[i].a == a &&
+                gates_[i].b == b)
+                return signal{base_ + static_cast<uint32_t>(i), parity};
+        pin(a.node());
+        pin(b.node());
+        gates_.push_back({a, b, is_and, reaches_root(a) || reaches_root(b)});
+        return signal{base_ + static_cast<uint32_t>(gates_.size() - 1),
+                      parity};
+    }
+
+    bool reaches_root(signal s) const
+    {
+        if (s.node() >= base_)
+            return gates_[s.node() - base_].reaches_root;
+        return std::find(reach_.begin(), reach_.end(), s.node()) !=
+               reach_.end();
+    }
+
+    bool is_leaf(uint32_t node) const
+    {
+        return std::binary_search(cut_leaves_.begin(), cut_leaves_.end(),
+                                  node);
+    }
+
+    /// Only existing gates strictly inside the cut can change the MFFC.
+    void pin(uint32_t node)
+    {
+        if (node < base_ && net_.is_gate(node) && !is_leaf(node))
+            pins_.push_back(node);
+    }
+
+    void note_operand(uint32_t node)
+    {
+        if (node >= base_ || !net_.is_gate(node) || is_leaf(node) ||
+            std::find(outside_.begin(), outside_.end(), node) !=
+                outside_.end())
+            return;
+        if (cone_.empty()) {
+            // The root's cone down to the cut leaves, collected once.
+            stack_.assign(1, root_);
+            while (!stack_.empty()) {
+                const auto x = stack_.back();
+                stack_.pop_back();
+                if (std::find(cone_.begin(), cone_.end(), x) != cone_.end())
+                    continue;
+                cone_.push_back(x);
+                for (const auto fi : {net_.fanin0(x), net_.fanin1(x)})
+                    if (net_.is_gate(fi.node()) && !is_leaf(fi.node()))
+                        stack_.push_back(fi.node());
+            }
+        }
+        if (std::find(cone_.begin(), cone_.end(), node) == cone_.end())
+            outside_.push_back(node);
+    }
+
+    const xag& net_;
+    uint32_t root_;
+    uint32_t base_;
+    std::span<const uint32_t> cut_leaves_;
+    std::vector<pass_scratch::probe_gate>& gates_;
+    std::vector<uint32_t>& pins_;
+    std::vector<uint32_t>& reach_;
+    std::vector<uint32_t>& cone_;
+    std::vector<uint32_t>& stack_;
+    std::vector<uint32_t>& outside_;
+};
 
 /// Walk the candidate cone down to `leaves`; verify the computed function
 /// and that `forbidden` (the rewrite root) is not part of the cone.  The
@@ -167,7 +301,8 @@ bool verify_candidate(const xag& net, cone_simulator& sim, signal candidate,
 /// Direct replacements for cuts whose (support-shrunk) function collapsed
 /// to a constant or a single leaf (no database needed).  `f` is the
 /// shrunk function, `leaf_sigs` its support leaves.
-std::optional<signal> trivial_replacement(xag& net, const truth_table& f,
+template <typename Dst>
+std::optional<signal> trivial_replacement(Dst& net, const truth_table& f,
                                           std::span<const signal> leaf_sigs)
 {
     if (leaf_sigs.empty())
@@ -179,13 +314,12 @@ std::optional<signal> trivial_replacement(xag& net, const truth_table& f,
     return std::nullopt;
 }
 
-/// Phases 1-2 of a node visit, shared verbatim by both engines (the
-/// determinism story depends on them scoring identical cuts): resolve the
-/// node's enumerated cuts to live, sorted, deduplicated leaf sets, then
-/// evaluate every cut function — batched union-cone traversal or the
-/// per-cut legacy path.  Returns the number of active cuts; leaf sets are
-/// in pool[0..count), function words in `words`, per-cut validity in
-/// `valid`.  `cuts_evaluated` is bumped once per resolved cut.
+/// Phases 1-2 of a node visit: resolve the node's enumerated cuts to live,
+/// sorted, deduplicated leaf sets, then evaluate every cut function —
+/// batched union-cone traversal or the per-cut legacy path.  Returns the
+/// number of active cuts; leaf sets are in pool[0..count), function words
+/// in `words`, per-cut validity in `valid`.  `cuts_evaluated` is bumped
+/// once per resolved cut.
 size_t resolve_and_simulate(const xag& net, std::span<const cut> node_cuts,
                             uint32_t n, cone_simulator& sim, bool batched,
                             std::vector<cone_simulator::leaf_set>& pool,
@@ -194,8 +328,7 @@ size_t resolve_and_simulate(const xag& net, std::span<const cut> node_cuts,
                             std::vector<uint8_t>& valid,
                             uint64_t& cuts_evaluated)
 {
-    // Leaves replaced earlier (by this round's commits in the sequential
-    // engine, by earlier rounds otherwise) are followed to their live
+    // Leaves replaced by earlier rounds are followed to their live
     // equivalents; `pool` is an index-reused scratch: slots keep their
     // capacity across nodes.
     size_t count = 0;
@@ -263,32 +396,29 @@ struct scored_candidate {
     int64_t gain = 0;
 };
 
-/// Commit-side kernel shared by both engines (the determinism story
-/// depends on them applying the identical protocol): build the candidate
-/// for a support-shrunk function — trivially, or through `make` — measure
-/// the actual created cost, verify function and containment against the
-/// current network, and score the DAG-aware gain (MFFC savings over the
-/// full cut, computed while the candidate's references pin any shared
-/// nodes, minus the created cost).  Returns nullopt with every temporary
-/// reference released when the build fails or verification rejects.
-template <typename Strategy, typename Make>
+/// Commit-side kernel: build the candidate for a support-shrunk function —
+/// trivially, or through the strategy's database splice classified in the
+/// scoring worker's `shard` — measure the actual created cost, verify
+/// function and containment against the current network, and score the
+/// DAG-aware gain (MFFC savings over the full cut, computed while the
+/// candidate's references pin any shared nodes, minus the created cost).
+/// Returns nullopt with every temporary reference released when the build
+/// fails or verification rejects.
+template <typename Strategy>
 std::optional<scored_candidate> build_scored_candidate(
-    xag& net, cone_simulator& sim, Strategy& strat, Make&& make,
+    xag& net, cone_simulator& sim, Strategy& strat, pass_scratch& shard,
     const truth_table& f, std::span<const signal> leaf_sigs,
     std::span<const uint32_t> support_nodes,
-    std::span<const uint32_t> mffc_leaves, uint32_t n, bool batched,
-    uint64_t* candidates_built)
+    std::span<const uint32_t> mffc_leaves, uint32_t n, bool batched)
 {
     const auto cost_before = strat.created_cost();
     std::optional<signal> candidate = trivial_replacement(net, f, leaf_sigs);
     if (!candidate) {
-        candidate = make(f, leaf_sigs);
+        candidate = strat.make_candidate(net, f, leaf_sigs, shard);
         if (!candidate)
             return std::nullopt;
     }
     const auto created = strat.created_cost() - cost_before;
-    if (candidates_built)
-        ++*candidates_built;
     net.take_ref(*candidate);
     const bool ok =
         batched ? verify_candidate(net, sim, *candidate, support_nodes, f, n)
@@ -317,217 +447,19 @@ struct round_env {
     sat::cone_verifier* verifier = nullptr;
 };
 
-/// The ONE rewrite loop shared by the proposed method and the size
-/// baseline.  `Strategy` supplies the candidate builder and the cost model
-/// (see mc_strategy / size_strategy below); everything else — leaf
-/// resolution, batched cut-function evaluation, verification, MFFC-gated
-/// commit — is common.
-template <typename Strategy>
-void run_rewrite_loop(xag& net, pass_context& ctx, round_stats& stats,
-                      bool allow_zero_gain, bool batched, Strategy& strat,
-                      const round_env& env)
-{
-    const obs::trace::trace_span loop_span{"phase.rewrite-loop"};
-    const auto& cuts = ctx.cuts();
-    auto& sim = ctx.simulator();
-
-    std::vector<cone_simulator::leaf_set> resolved; // leaf sets, per cut
-    std::vector<uint64_t> words;                    // batched function words
-    std::vector<uint64_t> chunk_words;
-    std::vector<uint8_t> valid;                     // per-cut validity
-    std::vector<signal> leaf_sigs;
-    std::vector<uint32_t> leaf_nodes;
-    std::vector<uint32_t> best_leaves; // winning cut's full leaf set
-
-    // The cacheable outcome of a sequential visit is one bit — "found no
-    // improvement" — because improvements commit immediately and kill the
-    // node (evaluate_cache::no_improvement).
-    auto* cache = env.cache;
-    if (cache != nullptr && cache->no_improvement.size() < net.size())
-        cache->no_improvement.resize(net.size(), 0);
-
-    // Within-round context overlay.  The maintainer's dirty set is frozen
-    // at refresh time and cannot see this round's own commits, but this
-    // engine evaluates against the live network — so a node is only
-    // skipped when additionally nothing committed *this round* reaches
-    // its cone.  After every visit the journal suffix is consumed under
-    // the maintainer's seed rule (live journaled node plus fanins; stored
-    // fanins of pre-existing nodes that died; nothing for nodes spliced
-    // and released inside the round — net-zero on every neighbour) and
-    // each seed's transitive fanout is marked through the explicit fanout
-    // lists.  A disarmed or overflowed journal degrades the overlay to
-    // all-dirty: skips stop, correctness keeps (docs/hot-path.md, "The
-    // evaluate dirty-set contract").
-    const uint32_t round_start_size = static_cast<uint32_t>(net.size());
-    bool overlay_all =
-        cache == nullptr || !net.changes().armed || net.changes().overflowed;
-    std::vector<uint8_t> ctx_dirty;
-    if (!overlay_all)
-        ctx_dirty.assign(net.size(), 0);
-    size_t journal_consumed = overlay_all ? 0 : net.changes().nodes.size();
-    std::vector<uint32_t> tfo_stack;
-    const auto seed_tfo = [&](uint32_t x) {
-        if (x >= ctx_dirty.size() || ctx_dirty[x] != 0)
-            return;
-        ctx_dirty[x] = 1;
-        tfo_stack.push_back(x);
-        while (!tfo_stack.empty()) {
-            const auto cur = tfo_stack.back();
-            tfo_stack.pop_back();
-            for (const auto parent : net.fanouts(cur))
-                if (parent < ctx_dirty.size() && ctx_dirty[parent] == 0) {
-                    ctx_dirty[parent] = 1;
-                    tfo_stack.push_back(parent);
-                }
-        }
-    };
-
-    for (const auto n : net.topological_order()) {
-        // Per-node visit = this engine's commit boundary: every earlier
-        // substitute() is complete and function-preserving, so stopping
-        // here leaves a consistent, equivalent network.
-        if (ctx.token.stop_requested()) {
-            stats.status = ctx.token.stop_reason();
-            if (stats.status == outcome::ok)
-                stats.status = outcome::cancelled;
-            break;
-        }
-        if (!net.is_gate(n) || net.is_dead(n))
-            continue;
-
-        // ---- skip rule: the previous visit found no improvement, and
-        // neither the refresh-level dirty set nor the within-round overlay
-        // has reached n's cone since.  Skipped visits have no side effects
-        // (candidate splicing is net-zero on refs, strash and fanouts), so
-        // the resulting network is structurally identical to the oracle's.
-        if (env.cache_valid && !overlay_all && n < env.dirty.size() &&
-            env.dirty[n] == 0 && ctx_dirty[n] == 0 &&
-            cache->no_improvement[n] != 0) {
-            ++stats.nodes_clean;
-            continue;
-        }
-        ++stats.nodes_evaluated;
-
-        // ---- phases 1-2: resolve leaves, evaluate all cut functions -----
-        // No candidate has been spliced yet for this node, so every
-        // existing cone node keeps its value throughout phase 3: computing
-        // the functions up front is exactly equivalent to the per-cut
-        // re-simulation it replaces.
-        const auto num_resolved = resolve_and_simulate(
-            net, cuts[n], n, sim, batched, resolved, words, chunk_words,
-            valid, stats.cuts_evaluated);
-        if (num_resolved == 0) {
-            if (cache != nullptr)
-                cache->no_improvement[n] = 1;
-            continue;
-        }
-        const std::span<const cone_simulator::leaf_set> active{
-            resolved.data(), num_resolved};
-
-        // ---- phase 3: candidate construction and MFFC-gated commit ------
-        signal best{};
-        int64_t best_gain = allow_zero_gain ? -1 : 0;
-        bool have_best = false;
-
-        for (size_t i = 0; i < active.size(); ++i) {
-            if (!valid[i])
-                continue;
-            const auto& cut_leaves = active[i];
-            const auto k = static_cast<uint32_t>(cut_leaves.size());
-            const truth_table tt{k, words[i]};
-
-            const auto view = shrink_to_support(tt);
-            leaf_sigs.clear();
-            leaf_nodes.clear();
-            for (const auto idx : view.support) {
-                leaf_nodes.push_back(cut_leaves[idx]);
-                leaf_sigs.push_back(signal{cut_leaves[idx], false});
-            }
-
-            const auto scored = build_scored_candidate(
-                net, sim, strat,
-                [&](const truth_table& f, std::span<const signal> ls) {
-                    return strat.make_candidate(f, ls);
-                },
-                view.function, leaf_sigs, leaf_nodes, cut_leaves, n, batched,
-                &stats.candidates_built);
-            if (!scored)
-                continue;
-
-            const bool structurally_new = scored->sig.node() != n;
-            if (structurally_new && scored->gain > best_gain) {
-                if (have_best)
-                    net.release_ref(net.resolve(best));
-                best = scored->sig;
-                best_gain = scored->gain;
-                have_best = true;
-                best_leaves.assign(cut_leaves.begin(), cut_leaves.end());
-            } else {
-                net.release_ref(net.resolve(scored->sig));
-            }
-        }
-
-        bool rejected = false;
-        if (have_best && env.verifier != nullptr &&
-            env.verifier->verify(net, n, best, best_leaves, 0, ctx.token) ==
-                sat::equivalence_result::not_equivalent) {
-            // The simulation proof and the SAT proof disagree: keep the
-            // network untouched, and leave the node uncached so it is
-            // re-examined next round.
-            net.release_ref(net.resolve(best));
-            have_best = false;
-            rejected = true;
-        }
-        if (have_best) {
-            net.substitute(n, best);
-            net.release_ref(net.resolve(best));
-            ++stats.replacements;
-        } else if (cache != nullptr && !rejected) {
-            cache->no_improvement[n] = 1;
-        }
-
-        // ---- consume the journal suffix this visit appended.
-        if (!overlay_all) {
-            if (!net.changes().armed || net.changes().overflowed) {
-                overlay_all = true;
-            } else {
-                const auto& journal = net.changes().nodes;
-                if (journal.size() > journal_consumed) {
-                    if (ctx_dirty.size() < net.size())
-                        ctx_dirty.resize(net.size(), 0);
-                    for (size_t j = journal_consumed; j < journal.size();
-                         ++j) {
-                        const auto id = journal[j];
-                        if (!net.is_dead(id)) {
-                            seed_tfo(id);
-                            if (net.is_gate(id)) {
-                                seed_tfo(net.fanin0(id).node());
-                                seed_tfo(net.fanin1(id).node());
-                            }
-                        } else if (id < round_start_size &&
-                                   net.is_gate(id)) {
-                            seed_tfo(net.fanin0(id).node());
-                            seed_tfo(net.fanin1(id).node());
-                        }
-                        // else: spliced and released inside the round.
-                    }
-                    journal_consumed = journal.size();
-                }
-            }
-        }
-    }
-}
-
-// ------------------------------------------------ two-phase parallel round
+// ------------------------------------------------------- two-phase round
 //
-// The deterministic engine behind `num_threads >= 1` (docs/parallel.md):
+// The one rewrite engine, deterministic at any worker count
+// (docs/parallel.md):
 //
 //  * EVALUATE (parallel): every gate node is scored independently against
 //    the network as it stands at round start — resolve its cuts, batch-
 //    simulate their functions on the worker's own cone_simulator, classify
 //    through the worker's cache shard, look the class up in the (striped,
-//    once-per-class) database, and record the best candidate by estimated
-//    gain (MFFC savings minus the database entry's cost).  Nothing touches
+//    once-per-class) database, probe the splice against the structural-
+//    hashing table (splice_probe), and record the best candidate by its
+//    exact gain on the frozen network (pinned MFFC savings minus the gates
+//    the splice would really add).  Nothing touches
 //    the network, so the per-node result is a pure function of (network,
 //    cut sets, node) and the winner array is identical for any thread
 //    count and any work-stealing schedule.
@@ -541,22 +473,17 @@ void run_rewrite_loop(xag& net, pass_context& ctx, round_stats& stats,
 //    dropped; the next round re-enumerates and re-scores them (the
 //    "deferred to the next round" half of the contract).
 //
-// Unlike the in-place loop, the evaluate phase never sees this round's own
-// rewrites, so per-round replacement counts differ between the engines —
-// but both converge, and the parallel engine's output depends only on the
-// input network and the parameters, never on the thread count.
-
-// (eval_winner lives in pass.h now: it doubles as the evaluate cache's
-// payload for the incremental-evaluate path.)
+// The evaluate phase never sees this round's own rewrites, so the output
+// depends only on the input network and the parameters, never on the
+// thread count; one worker is the reference run.  (eval_winner lives in
+// pass.h: it doubles as the evaluate cache's payload.)
 
 template <typename Strategy>
 void evaluate_node(const xag& net, const cut_sets& cuts, Strategy& strat,
                    pass_scratch& sc, bool allow_zero_gain, bool batched,
                    uint32_t n, eval_winner& winner)
 {
-    // ---- phases 1-2, shared with the in-place loop (resolution is a
-    // formality here — the network is frozen during the phase — but the
-    // filtering must stay identical so both engines score the same cuts).
+    // ---- phases 1-2 against the frozen network.
     const auto num_resolved = resolve_and_simulate(
         net, cuts[n], n, sc.simulator, batched, sc.resolved, sc.words,
         sc.chunk_words, sc.valid, sc.cuts_evaluated);
@@ -565,26 +492,56 @@ void evaluate_node(const xag& net, const cut_sets& cuts, Strategy& strat,
     const std::span<const cone_simulator::leaf_set> active{
         sc.resolved.data(), num_resolved};
 
-    // ---- score: estimated gain = MFFC savings - database entry cost.
+    // ---- score: the exact gain against the frozen network — the MFFC
+    // savings with the candidate's references pinned, minus the gates the
+    // splice really adds (probed, so structural-hashing shares count; the
+    // sequential commit re-measures against the network as it then is).
+    // The unpinned MFFC bounds the gain from above, so a cut that cannot
+    // beat the best so far is skipped before classification.
     int64_t best_gain = allow_zero_gain ? -1 : 0;
+    std::array<signal, 6> leaf_sigs{};
     for (size_t i = 0; i < active.size(); ++i) {
         if (!sc.valid[i])
             continue;
         const auto& cut_leaves = active[i];
+        const int64_t saved_bound = strat.mffc_cost(n, cut_leaves);
+        if (saved_bound <= best_gain)
+            continue;
         const auto k = static_cast<uint32_t>(cut_leaves.size());
         const truth_table tt{k, sc.words[i]};
         const auto view = shrink_to_support(tt);
+        for (size_t s = 0; s < view.support.size(); ++s)
+            leaf_sigs[s] = signal{cut_leaves[view.support[s]], false};
+        const std::span<const signal> leaves{leaf_sigs.data(),
+                                             view.support.size()};
 
-        uint64_t created = 0;
-        if (view.support.size() >= 2) {
-            bool ok = false;
-            created = strat.estimated_cost(view.function, sc, ok);
-            if (!ok)
+        splice_probe probe{net, n, cut_leaves, sc};
+        auto out = trivial_replacement(probe, view.function, leaves);
+        if (!out) {
+            out = strat.make_candidate(probe, view.function, leaves, sc);
+            if (!out) {
+                ++sc.classify_failures;
                 continue;
+            }
         }
         ++sc.candidates_built;
-        const int64_t saved = strat.mffc_cost(n, cut_leaves);
-        const int64_t gain = saved - static_cast<int64_t>(created);
+        for (const auto g : probe.outside()) {
+            const auto end = winner.outside.begin() + winner.num_outside;
+            if (std::find(winner.outside.begin(), end, g) != end)
+                continue;
+            if (winner.num_outside == winner.outside.size())
+                winner.cacheable = false;
+            else
+                winner.outside[winner.num_outside++] = g;
+        }
+        if (!probe.finish(*out))
+            continue;
+        const int64_t saved = probe.pins().empty()
+                                  ? saved_bound
+                                  : strat.mffc_cost(n, cut_leaves,
+                                                    probe.pins());
+        const int64_t gain =
+            saved - static_cast<int64_t>(strat.probe_cost(probe));
         if (gain <= best_gain)
             continue;
         best_gain = gain;
@@ -628,10 +585,18 @@ void run_two_phase_round(xag& net, pass_context& ctx, round_stats& stats,
 
     // ---- phase 1: parallel evaluate over the frozen network — but only
     // for nodes the maintainer's dirty set reaches.  A winner is a pure
-    // function of (network, cut sets, node), so a clean node's cached
-    // winner from an earlier round is byte-equal to what re-evaluating it
-    // would produce, at any thread count.
+    // function of (network, cut sets, node), so the cached winner of a
+    // clean node whose outside gates are clean too is byte-equal to what
+    // re-evaluating it would produce, at any thread count.
     auto* cache = env.cache;
+    const auto outside_clean = [&](const eval_winner& w) {
+        for (uint8_t i = 0; i < w.num_outside; ++i) {
+            const auto g = w.outside[i];
+            if (g >= env.dirty.size() || env.dirty[g] != 0 || net.is_dead(g))
+                return false;
+        }
+        return true;
+    };
     std::vector<eval_winner> winners(nodes.size());
     std::vector<uint32_t> fresh; // indices into `nodes` needing evaluation
     fresh.reserve(nodes.size());
@@ -641,7 +606,8 @@ void run_two_phase_round(xag& net, pass_context& ctx, round_stats& stats,
             const auto n = nodes[idx];
             if (env.cache_valid && n < env.dirty.size() &&
                 env.dirty[n] == 0 && n < cache->has_entry.size() &&
-                cache->has_entry[n] != 0) {
+                cache->has_entry[n] != 0 &&
+                outside_clean(cache->winners[n])) {
                 winners[idx] = cache->winners[n];
                 ++stats.nodes_clean;
             } else {
@@ -665,12 +631,13 @@ void run_two_phase_round(xag& net, pass_context& ctx, round_stats& stats,
     }
     const auto& token = ctx.token;
 
-    for (uint32_t w = 0; w < workers; ++w) {
-        auto& sc = ctx.scratch(w);
-        stats.cuts_evaluated += sc.cuts_evaluated;
-        stats.classify_failures += sc.classify_failures;
-        stats.candidates_built += sc.candidates_built;
-    }
+    const auto collect_counters = [&](pass_scratch& sc) {
+        stats.cuts_evaluated += std::exchange(sc.cuts_evaluated, 0);
+        stats.classify_failures += std::exchange(sc.classify_failures, 0);
+        stats.candidates_built += std::exchange(sc.candidates_built, 0);
+    };
+    for (uint32_t w = 0; w < workers; ++w)
+        collect_counters(ctx.scratch(w));
 
     // A stop during evaluate discards the whole round before anything is
     // committed: a partially-scored winner array would make the committed
@@ -697,7 +664,7 @@ void run_two_phase_round(xag& net, pass_context& ctx, round_stats& stats,
         }
         for (const auto idx : fresh) {
             cache->winners[nodes[idx]] = winners[idx];
-            cache->has_entry[nodes[idx]] = 1;
+            cache->has_entry[nodes[idx]] = winners[idx].cacheable;
         }
     }
 
@@ -707,7 +674,17 @@ void run_two_phase_round(xag& net, pass_context& ctx, round_stats& stats,
     std::vector<signal> leaf_sigs;
     std::vector<uint32_t> support_nodes;
     std::vector<uint32_t> full_leaves;
-    for (const auto& w : winners) {
+    const auto leaves_intact = [&](const eval_winner& w) {
+        for (uint8_t k = 0; k < w.num_cut_leaves; ++k) {
+            const auto l = w.cut_leaves[k];
+            if (net.is_dead(l) ||
+                net.resolve(signal{l, false}) != signal{l, false})
+                return false;
+        }
+        return true;
+    };
+    eval_winner rescored;
+    for (const auto& scored_winner : winners) {
         // Between winners every commit is complete; stopping here keeps
         // the applied prefix (already equivalence-preserving) and drops
         // the rest.
@@ -717,28 +694,30 @@ void run_two_phase_round(xag& net, pass_context& ctx, round_stats& stats,
                 stats.status = outcome::cancelled;
             break;
         }
-        if (!w.valid)
+        if (!scored_winner.valid)
             continue;
-        const auto n = w.node;
+        const auto n = scored_winner.node;
         if (net.is_dead(n))
             continue; // consumed by an earlier commit — next round's problem
 
         // Every leaf of the scored cut must still be exactly the node the
-        // evaluation saw; a leaf merged or freed by an earlier commit
-        // invalidates both the function and the MFFC bound.
-        bool leaves_ok = true;
-        full_leaves.clear();
-        for (uint8_t k = 0; k < w.num_cut_leaves; ++k) {
-            const auto l = w.cut_leaves[k];
-            if (net.is_dead(l) ||
-                net.resolve(signal{l, false}) != signal{l, false}) {
-                leaves_ok = false;
-                break;
-            }
-            full_leaves.push_back(l);
+        // evaluation saw.  A leaf merged or freed by an earlier commit
+        // invalidates both the function and the MFFC bound: the node is
+        // then re-scored right here against the network as it now stands
+        // (sequential and in node order, so still thread-count
+        // independent), through worker 0's scratch.
+        const eval_winner* wp = &scored_winner;
+        if (!leaves_intact(scored_winner)) {
+            rescored = {};
+            evaluate_node(net, ctx.cuts(), strat, ctx.scratch(0),
+                          allow_zero_gain, batched, n, rescored);
+            if (!rescored.valid)
+                continue;
+            wp = &rescored;
         }
-        if (!leaves_ok)
-            continue;
+        const auto& w = *wp;
+        full_leaves.assign(w.cut_leaves.begin(),
+                           w.cut_leaves.begin() + w.num_cut_leaves);
         leaf_sigs.clear();
         support_nodes.clear();
         for (uint8_t s = 0; s < w.num_support; ++s) {
@@ -753,12 +732,8 @@ void run_two_phase_round(xag& net, pass_context& ctx, round_stats& stats,
         // goes through the scoring worker's shard, where it is a warm hit.
         auto& shard = ctx.scratch(w.worker);
         const auto scored = build_scored_candidate(
-            net, sim, strat,
-            [&](const truth_table& f, std::span<const signal> ls) {
-                return strat.make_candidate_cached(f, ls, shard);
-            },
-            w.function, leaf_sigs, support_nodes, full_leaves, n, batched,
-            nullptr);
+            net, sim, strat, shard, w.function, leaf_sigs, support_nodes,
+            full_leaves, n, batched);
         if (!scored)
             continue;
         bool commit = scored->sig.node() != n &&
@@ -777,6 +752,8 @@ void run_two_phase_round(xag& net, pass_context& ctx, round_stats& stats,
         }
     }
 
+    collect_counters(ctx.scratch(0)); // the commit phase's re-scoring
+
     // Shard-cache traffic for this round's stats, including the commit
     // phase's (warm) lookups.
     uint64_t shard_hits1 = 0, shard_misses1 = 0;
@@ -785,32 +762,27 @@ void run_two_phase_round(xag& net, pass_context& ctx, round_stats& stats,
         shard_hits1 += h;
         shard_misses1 += m;
     }
-    stats.canon_cache_hits += shard_hits1 - shard_hits0;
-    stats.canon_cache_misses += shard_misses1 - shard_misses0;
+    stats.canon_cache_hits = shard_hits1 - shard_hits0;
+    stats.canon_cache_misses = shard_misses1 - shard_misses0;
 }
 
 /// Round boilerplate shared by both rewrite flavors: network shape and
-/// cache-traffic deltas, stage timing, cut refresh into the context's
+/// database-traffic deltas, stage timing, cut refresh into the context's
 /// arena (incremental across rounds by default — only the previous
 /// round's dirty region is re-enumerated, level-parallel on the worker
-/// pool when the two-phase engine is active), then the shared loop above.
-/// `make_strategy(stats)` builds the flavor's strategy bound to this
-/// round's stats object.
-template <typename StrategyFactory>
+/// pool), then the two-phase round above.
+template <typename Strategy>
 round_stats generic_round(xag& network, pass_context& ctx, uint32_t cut_size,
                           uint32_t cut_limit, bool allow_zero_gain,
                           bool batched, uint32_t num_threads,
                           bool incremental_cuts, bool incremental_evaluate,
-                          bool sat_verify, StrategyFactory&& make_strategy)
+                          bool sat_verify, Strategy strat)
 {
     const auto start = std::chrono::steady_clock::now();
     obs::trace::trace_span round_span{"round"};
     round_stats stats;
-    auto strat = make_strategy(stats);
-    using strategy_type = std::remove_reference_t<decltype(strat)>;
     stats.ands_before = network.num_ands();
     stats.xors_before = network.num_xors();
-    const auto [cache_hits0, cache_misses0] = strat.cache_traffic();
     const auto [db_hits0, db_misses0] = strat.db_traffic();
     uint64_t verify_checks0 = 0, verify_conflicts0 = 0, verify_warm0 = 0;
     if (sat_verify) {
@@ -836,9 +808,7 @@ round_stats generic_round(xag& network, pass_context& ctx, uint32_t cut_size,
                 network, ctx.cuts(),
                 {.cut_size = cut_size, .cut_limit = cut_limit,
                  .incremental = incremental_cuts},
-                &stats.cut_stats,
-                num_threads >= 1 ? &ctx.pool(num_threads) : nullptr,
-                ctx.token);
+                &stats.cut_stats, &ctx.pool(num_threads), ctx.token);
         }
         cuts_done = std::chrono::steady_clock::now();
         stats.cut_seconds =
@@ -851,8 +821,7 @@ round_stats generic_round(xag& network, pass_context& ctx, uint32_t cut_size,
         // the whole window since the entries were written), and every
         // parameter that shapes an evaluation matches.  Anything else
         // resets the cache; it repopulates this round and is usable the
-        // next.  The engine tag matters because the two engines cache
-        // different payloads; the thread count does not — winners are
+        // next.  The thread count does not matter — winners are
         // thread-count independent.
         round_env env;
         if (sat_verify)
@@ -860,14 +829,12 @@ round_stats generic_round(xag& network, pass_context& ctx, uint32_t cut_size,
         if (incremental_evaluate && incremental_cuts) {
             auto& cache = ctx.eval_cache();
             env.cache = &cache;
-            const uint8_t engine = num_threads >= 1 ? 1 : 0;
             env.cache_valid =
                 cache.net == &network && cache.cut_size == cut_size &&
                 cache.cut_limit == cut_limit &&
                 cache.allow_zero_gain == allow_zero_gain &&
                 cache.batched == batched &&
-                cache.strategy == strategy_type::kind &&
-                cache.engine == engine &&
+                cache.strategy == Strategy::kind &&
                 maint.last_refresh_incremental() &&
                 cache.serial + 1 == maint.refresh_serial();
             if (env.cache_valid) {
@@ -879,17 +846,12 @@ round_stats generic_round(xag& network, pass_context& ctx, uint32_t cut_size,
                 cache.cut_limit = cut_limit;
                 cache.allow_zero_gain = allow_zero_gain;
                 cache.batched = batched;
-                cache.strategy = strategy_type::kind;
-                cache.engine = engine;
+                cache.strategy = Strategy::kind;
             }
         }
 
-        if (num_threads >= 1)
-            run_two_phase_round(network, ctx, stats, allow_zero_gain,
-                                batched, num_threads, strat, env);
-        else
-            run_rewrite_loop(network, ctx, stats, allow_zero_gain, batched,
-                             strat, env);
+        run_two_phase_round(network, ctx, stats, allow_zero_gain, batched,
+                            num_threads, strat, env);
 
         if (env.cache != nullptr)
             env.cache->serial = maint.refresh_serial();
@@ -909,13 +871,7 @@ round_stats generic_round(xag& network, pass_context& ctx, uint32_t cut_size,
     stats.rewrite_seconds =
         std::chrono::duration<double>(end - cuts_done).count();
     stats.seconds = std::chrono::duration<double>(end - start).count();
-    const auto [cache_hits1, cache_misses1] = strat.cache_traffic();
     const auto [db_hits1, db_misses1] = strat.db_traffic();
-    // += : the two-phase engine has already added its per-worker shard
-    // traffic; the shared-cache delta below covers the commit phase and
-    // the whole of the sequential engine.
-    stats.canon_cache_hits += cache_hits1 - cache_hits0;
-    stats.canon_cache_misses += cache_misses1 - cache_misses0;
     stats.db_hits = db_hits1 - db_hits0;
     stats.db_misses = db_misses1 - db_misses0;
     if (sat_verify) {
@@ -954,62 +910,34 @@ struct mc_strategy {
     static constexpr uint8_t kind = 0; ///< evaluate_cache::strategy tag
     xag& net;
     mc_database& db;
-    classification_cache& cache;
-    round_stats& stats;
     cancellation_token token;
 
-    std::optional<signal> make_candidate(const truth_table& f,
-                                         std::span<const signal> leaves)
-    {
-        const auto& cls = cache.classify(f);
-        if (!cls.success) {
-            ++stats.classify_failures;
-            return std::nullopt;
-        }
-        const auto& entry = db.lookup_or_build(cls.representative, token);
-        return splice_affine(net, cls.transform, leaves, entry.circuit);
-    }
-    /// Commit-phase builder (two-phase engine): identical to
-    /// make_candidate but classifies through the scoring worker's shard,
-    /// where the evaluate phase already paid for the search.  Failures
-    /// are not re-counted — the evaluate phase counted them.
-    std::optional<signal> make_candidate_cached(const truth_table& f,
-                                                std::span<const signal>
-                                                    leaves,
-                                                pass_scratch& sc)
+    /// Candidate builder into the network (commit) or a splice_probe
+    /// (evaluate), classifying through `sc`: in the commit phase that is
+    /// the scoring worker's shard, where the search is already a warm hit.
+    /// nullopt when the classification search fails.  Thread-safe for a
+    /// probe: touches only the worker's scratch and the striped database.
+    template <typename Dst>
+    std::optional<signal> make_candidate(Dst& dst, const truth_table& f,
+                                         std::span<const signal> leaves,
+                                         pass_scratch& sc)
     {
         const auto& cls = sc.classification.classify(f);
         if (!cls.success)
             return std::nullopt;
         const auto& entry = db.lookup_or_build(cls.representative, token);
-        return splice_affine(net, cls.transform, leaves, entry.circuit);
+        return splice_affine(dst, cls.transform, leaves, entry.circuit);
     }
-    /// Evaluate-phase cost bound (two-phase engine): the database entry's
-    /// AND count.  splice_affine adds only XOR gates around the entry, so
-    /// this equals the real created cost up to structural-hashing savings
-    /// (the commit phase re-measures exactly).  Thread-safe: touches only
-    /// the worker's scratch and the striped database.
-    uint64_t estimated_cost(const truth_table& f, pass_scratch& sc,
-                            bool& ok) const
+    uint64_t probe_cost(const splice_probe& probe) const
     {
-        const auto& cls = sc.classification.classify(f);
-        if (!cls.success) {
-            ++sc.classify_failures;
-            ok = false;
-            return 0;
-        }
-        ok = true;
-        return db.lookup_or_build(cls.representative, token).num_ands;
+        return probe.new_ands();
     }
-    int64_t mffc_cost(uint32_t root, std::span<const uint32_t> leaves) const
+    int64_t mffc_cost(uint32_t root, std::span<const uint32_t> leaves,
+                      std::span<const uint32_t> pinned = {}) const
     {
-        return mffc_and_count(net, root, leaves);
+        return mffc_and_count(net, root, leaves, pinned);
     }
     uint64_t created_cost() const { return net.num_ands(); }
-    std::pair<uint64_t, uint64_t> cache_traffic() const
-    {
-        return {cache.hits(), cache.misses()};
-    }
     std::pair<uint64_t, uint64_t> scratch_traffic(const pass_scratch& sc) const
     {
         return {sc.classification.hits(), sc.classification.misses()};
@@ -1026,46 +954,28 @@ struct size_strategy {
     static constexpr uint8_t kind = 1; ///< evaluate_cache::strategy tag
     xag& net;
     size_database& db;
-    npn_cache& cache;
-    round_stats& stats;
     cancellation_token token;
 
-    std::optional<signal> make_candidate(const truth_table& f,
-                                         std::span<const signal> leaves)
-    {
-        const auto& canon = cache.canonize(f);
-        const auto& entry = db.lookup_or_build(canon.representative, token);
-        return splice_npn(net, canon.transform, leaves, entry.circuit);
-    }
-    /// Commit-phase builder through the scoring worker's shard; see
-    /// mc_strategy::make_candidate_cached.
-    std::optional<signal> make_candidate_cached(const truth_table& f,
-                                                std::span<const signal>
-                                                    leaves,
-                                                pass_scratch& sc)
+    /// Candidate builder; see mc_strategy::make_candidate.
+    template <typename Dst>
+    std::optional<signal> make_candidate(Dst& dst, const truth_table& f,
+                                         std::span<const signal> leaves,
+                                         pass_scratch& sc)
     {
         const auto& canon = sc.npn.canonize(f);
         const auto& entry = db.lookup_or_build(canon.representative, token);
-        return splice_npn(net, canon.transform, leaves, entry.circuit);
+        return splice_npn(dst, canon.transform, leaves, entry.circuit);
     }
-    /// Evaluate-phase cost bound: the entry's gate count (splice_npn adds
-    /// no gates — negations ride on the edges).  See mc_strategy.
-    uint64_t estimated_cost(const truth_table& f, pass_scratch& sc,
-                            bool& ok) const
+    uint64_t probe_cost(const splice_probe& probe) const
     {
-        const auto& canon = sc.npn.canonize(f);
-        ok = true;
-        return db.lookup_or_build(canon.representative, token).num_gates;
+        return probe.new_gates();
     }
-    int64_t mffc_cost(uint32_t root, std::span<const uint32_t> leaves) const
+    int64_t mffc_cost(uint32_t root, std::span<const uint32_t> leaves,
+                      std::span<const uint32_t> pinned = {}) const
     {
-        return mffc_gate_count(net, root, leaves);
+        return mffc_gate_count(net, root, leaves, pinned);
     }
     uint64_t created_cost() const { return net.num_gates(); }
-    std::pair<uint64_t, uint64_t> cache_traffic() const
-    {
-        return {cache.hits(), cache.misses()};
-    }
     std::pair<uint64_t, uint64_t> scratch_traffic(const pass_scratch& sc) const
     {
         return {sc.npn.hits(), sc.npn.misses()};
@@ -1077,20 +987,20 @@ struct size_strategy {
 };
 
 /// The ONE convergence driver: repeat `round` until the cost (AND count or
-/// gate count) stops improving, or `max_rounds`.
+/// gate count) stops improving, or `max_rounds`; the rounds, convergence
+/// and stop status land in `ps`.
 template <typename Round>
-convergence_stats run_until_convergence(xag& network, Round&& round,
-                                        uint32_t max_rounds, bool count_ands)
+void run_until_convergence(pass_stats& ps, xag& network, Round&& round,
+                           uint32_t max_rounds, bool count_ands)
 {
-    convergence_stats result;
     for (uint32_t i = 0; i < max_rounds; ++i) {
         obs::set_progress_round(i + 1);
         const auto stats = round(network);
-        result.rounds.push_back(stats);
+        ps.rounds.push_back(stats);
         if (stats.status != outcome::ok) {
             // The round was cut short — its counters do not mean "no more
             // gains", so this is a stop, not convergence.
-            result.status = stats.status;
+            ps.status = stats.status;
             break;
         }
         const auto before = count_ands
@@ -1099,11 +1009,10 @@ convergence_stats run_until_convergence(xag& network, Round&& round,
         const auto after = count_ands ? stats.ands_after
                                       : stats.ands_after + stats.xors_after;
         if (after >= before) {
-            result.converged = true;
+            ps.converged = true;
             break;
         }
     }
-    return result;
 }
 
 pass_stats finish_pass(pass_context& ctx, pass_stats ps, const xag& network,
@@ -1129,26 +1038,18 @@ round_stats mc_rewrite_round(xag& network, pass_context& ctx,
                          params.num_threads, params.incremental_cuts,
                          params.incremental_evaluate,
                          params.sat_verify_commits,
-                         [&](round_stats& stats) {
-                             return mc_strategy{network, ctx.mc_db(),
-                                                ctx.classification(), stats,
-                                                ctx.token};
-                         });
+                         mc_strategy{network, ctx.mc_db(), ctx.token});
 }
 
 round_stats size_rewrite_round(xag& network, pass_context& ctx,
                                const size_rewrite_params& params)
 {
     return generic_round(network, ctx, params.cut_size, params.cut_limit,
-                         params.allow_zero_gain, params.batched_simulation,
+                         params.allow_zero_gain, /*batched=*/true,
                          params.num_threads, params.incremental_cuts,
                          params.incremental_evaluate,
                          params.sat_verify_commits,
-                         [&](round_stats& stats) {
-                             return size_strategy{network, ctx.size_db(),
-                                                  ctx.npn(), stats,
-                                                  ctx.token};
-                         });
+                         size_strategy{network, ctx.size_db(), ctx.token});
 }
 
 // ----------------------------------------------------------------- passes
@@ -1163,13 +1064,10 @@ pass_stats mc_rewrite_pass::run(xag& network, pass_context& ctx) const
     auto& db = ctx.mc_db();
     const auto db_hits0 = db.hits();
     const auto db_misses0 = db.misses();
-    const auto conv = run_until_convergence(
-        network,
+    run_until_convergence(
+        ps, network,
         [&](xag& net) { return mc_rewrite_round(net, ctx, params_); },
         max_rounds_, true);
-    ps.rounds = conv.rounds;
-    ps.converged = conv.converged;
-    ps.status = conv.status;
     ps.db_hits = db.hits() - db_hits0;
     ps.db_misses = db.misses() - db_misses0;
     ps.db_entries = db.size();
@@ -1188,13 +1086,10 @@ pass_stats size_rewrite_pass::run(xag& network, pass_context& ctx) const
     auto& db = ctx.size_db();
     const auto db_hits0 = db.hits();
     const auto db_misses0 = db.misses();
-    const auto conv = run_until_convergence(
-        network,
+    run_until_convergence(
+        ps, network,
         [&](xag& net) { return size_rewrite_round(net, ctx, params_); },
         max_rounds_, false);
-    ps.rounds = conv.rounds;
-    ps.converged = conv.converged;
-    ps.status = conv.status;
     ps.db_hits = db.hits() - db_hits0;
     ps.db_misses = db.misses() - db_misses0;
     ps.db_entries = db.size();
@@ -1209,11 +1104,19 @@ pass_stats xor_resynthesis_pass::run(xag& network, pass_context& ctx) const
     ps.before = stats_of(network);
     xor_resynthesis_params xp;
     xp.token = ctx.token;
-    if (num_threads_ >= 1) {
-        xp.pool = &ctx.pool(num_threads_);
-        ps.num_threads = num_threads_;
+    xp.pool = &ctx.pool(num_threads_);
+    ps.num_threads = xp.pool->num_workers();
+    // A fault in the worker team (the pair-count seeding, which runs
+    // before the network is touched) becomes the pass's typed status, as
+    // in the rewrite rounds.
+    xor_resynthesis_stats stats;
+    try {
+        stats = xor_resynthesis(network, xp);
+    } catch (const cancelled_error& e) {
+        stats.status = e.reason();
+    } catch (const std::exception&) {
+        stats.status = outcome::resource_exhausted;
     }
-    const auto stats = xor_resynthesis(network, xp);
     ps.xor_blocks = stats.blocks;
     ps.xor_pairs_extracted = stats.pairs_extracted;
     ps.status = stats.status;

@@ -13,17 +13,16 @@
 // The rewrite passes share ONE round implementation (pass.cpp): cut
 // enumeration into the arena, batched evaluation of all of a node's cut
 // functions in a single union-cone traversal, canonize/classify through
-// the context caches, database splice, MFFC-gated commit.  mc vs. size
-// differ only in a small strategy bundle (candidate builder + cost model).
+// the per-worker cache shards, database splice, MFFC-gated commit.  mc
+// vs. size differ only in a small strategy bundle (candidate builder +
+// cost model).
 //
-// With `num_threads >= 1` the round runs on the parallel subsystem
-// (src/par/): a work-stealing evaluate phase scores the best candidate
-// per node against the frozen network (per-worker scratch, thread-safe
-// databases), then a sequential commit phase applies non-conflicting
-// winners in node order — bit-identical results for any thread count
-// (docs/parallel.md).  `num_threads == 0` keeps the classic in-place
-// loop, which commits as it scans and so sees its own rewrites within
-// the round.
+// Every round runs on the parallel subsystem (src/par/): a work-stealing
+// evaluate phase scores the best candidate per node against the frozen
+// network (per-worker scratch, thread-safe databases), then a sequential
+// commit phase applies non-conflicting winners in node order —
+// bit-identical results for any thread count (docs/parallel.md).  One
+// worker, the default, is the reference run.
 #pragma once
 
 #include "core/budget.h"
@@ -53,27 +52,24 @@ namespace mcx {
 struct rewrite_params {
     uint32_t cut_size = 6;   ///< paper: 6-cuts (64-bit truth tables)
     uint32_t cut_limit = 12; ///< paper: 12 cuts per node
-    uint64_t classification_iteration_limit = 100'000; ///< paper §5
-    /// Classify cut functions with the packed-spectrum engine; false keeps
-    /// the scalar classify_affine_baseline on the hot path (A/B switch,
-    /// identical results — see classification_params::word_parallel).
-    bool classification_word_parallel = true;
+    /// Classification search budget (paper §5) of a flow's context: read
+    /// only by context_params(flow_params).  A pass classifies through its
+    /// pass_context, whose pass_context_params carry the budget.
+    uint64_t classification_iteration_limit = 100'000;
     bool allow_zero_gain = false;
     /// Batch all of a node's cut functions into one union-cone traversal
     /// (cone_simulator).  The per-cut cone_function path is retained for
     /// A/B measurement (bench/micro_core) — both produce identical results.
     bool batched_simulation = true;
-    /// 0 = the classic sequential in-place loop (default).  >= 1 = the
-    /// deterministic two-phase engine on that many workers; results are
-    /// bit-identical for every value >= 1 (docs/parallel.md), so
-    /// `num_threads = 1` is the reference run of the parallel engine.
-    uint32_t num_threads = 0;
+    /// Workers of the two-phase round engine; results are bit-identical
+    /// for every value (docs/parallel.md), and the default 1 is the
+    /// reference run.
+    uint32_t num_threads = 1;
     /// Maintain cut sets incrementally across rounds (default): after the
     /// first round only the dirty region — replaced MFFCs' transitive
     /// fanout plus new gates — is re-enumerated, level-parallel on the
-    /// worker pool when num_threads >= 1.  `false` is the full-rebuild
-    /// oracle; both modes produce byte-identical networks
-    /// (src/cut/cut_incremental.h).
+    /// worker pool.  `false` is the full-rebuild oracle; both modes
+    /// produce byte-identical networks (src/cut/cut_incremental.h).
     bool incremental_cuts = true;
     /// Re-score only nodes whose cut spans or cone context (MFFC, leaf
     /// liveness) changed since the previous round; clean nodes reuse the
@@ -96,8 +92,7 @@ struct size_rewrite_params {
     uint32_t cut_size = 4; ///< NPN-4 database
     uint32_t cut_limit = 12;
     bool allow_zero_gain = false;
-    bool batched_simulation = true;  ///< see rewrite_params
-    uint32_t num_threads = 0;        ///< see rewrite_params
+    uint32_t num_threads = 1;        ///< see rewrite_params
     bool incremental_cuts = true;    ///< see rewrite_params
     bool incremental_evaluate = true; ///< see rewrite_params
     bool sat_verify_commits = false; ///< see rewrite_params
@@ -152,28 +147,6 @@ struct round_stats {
     }
 };
 
-struct convergence_stats {
-    std::vector<round_stats> rounds;
-    bool converged = false; ///< a round produced no improvement
-    outcome status = outcome::ok; ///< first non-ok round status, if any
-
-    uint32_t ands_before() const
-    {
-        return rounds.empty() ? 0 : rounds.front().ands_before;
-    }
-    uint32_t ands_after() const
-    {
-        return rounds.empty() ? 0 : rounds.back().ands_after;
-    }
-    double total_seconds() const
-    {
-        double t = 0;
-        for (const auto& r : rounds)
-            t += r.seconds;
-        return t;
-    }
-};
-
 /// Outcome of one executed pass — the unified stats sink.  Rewrite passes
 /// fill `rounds`; xor_resynthesis fills the xor counters; every pass fills
 /// the network before/after shape and its wall time.
@@ -183,8 +156,8 @@ struct pass_stats {
     xag_stats after{};
     double seconds = 0.0;
     bool converged = false;
-    /// Workers the pass ran on: 1 for the sequential engine and for
-    /// non-rewrite passes, the two-phase engine's worker count otherwise.
+    /// Workers the pass ran on: the rewrite and XOR passes' team size, 1
+    /// for cleanup.
     uint32_t num_threads = 1;
     std::vector<round_stats> rounds; ///< rewrite passes only
     uint32_t xor_blocks = 0;         ///< xor_resynthesis only
@@ -206,7 +179,7 @@ struct pass_stats {
 
 // ---------------------------------------------------------------- context
 
-/// Best replacement found for one node by the two-phase evaluate phase.
+/// Best replacement found for one node by the evaluate phase.
 /// Engine-internal except for its role as the evaluate cache's payload: a
 /// pure function of (network, cut sets, node), which is what makes caching
 /// it across rounds sound (docs/hot-path.md).
@@ -222,6 +195,15 @@ struct eval_winner {
     /// the same shard (a warm hit) instead of re-running the search cold.
     uint32_t worker = 0;
     bool valid = false;
+    /// Existing gates outside the node's cone that scoring built on
+    /// (splice_probe in pass.cpp).  Their fanouts shape the score but lie
+    /// outside what the evaluate dirty set covers, so a cached winner is
+    /// reused only while these gates are clean too.
+    std::array<uint32_t, 4> outside{};
+    uint8_t num_outside = 0;
+    /// False when scoring built on more outside gates than `outside`
+    /// holds: the node is then re-scored every round.
+    bool cacheable = true;
 };
 
 /// Persistent per-node evaluation results, reused across rounds for nodes
@@ -239,29 +221,21 @@ struct evaluate_cache {
     bool allow_zero_gain = false;
     bool batched = false;
     uint8_t strategy = 0; ///< 0 = mc, 1 = size
-    uint8_t engine = 0;   ///< 0 = sequential in-place, 1 = two-phase
-    /// Two-phase engine: cached winner per node id.
-    std::vector<eval_winner> winners;
+    std::vector<eval_winner> winners; ///< cached winner per node id
     std::vector<uint8_t> has_entry;
-    /// Sequential engine: "visited, found no improvement" per node id
-    /// (improvements commit immediately and kill the node, so this single
-    /// bit is the whole cacheable outcome).
-    std::vector<uint8_t> no_improvement;
 
     void reset()
     {
         net = nullptr;
         winners.clear();
         has_entry.clear();
-        no_improvement.clear();
     }
 };
 
 struct pass_context_params {
     mc_database_params mc_db;
     size_database_params size_db;
-    uint64_t classification_iteration_limit = 100'000;
-    bool classification_word_parallel = true;
+    uint64_t classification_iteration_limit = 100'000; ///< paper §5
 };
 
 /// Shared execution state for a sequence of passes.  Databases and caches
@@ -278,8 +252,6 @@ public:
 
     mc_database& mc_db();
     size_database& size_db();
-    classification_cache& classification();
-    npn_cache& npn();
     cut_sets& cuts() { return cuts_; }
     /// Incremental maintenance of cuts() across rounds — tracks one
     /// network at a time and falls back to a full rebuild whenever its
@@ -297,8 +269,9 @@ public:
     /// round and pass so learnt clauses accumulate across commits.
     sat::cone_verifier& commit_verifier() { return commit_verifier_; }
 
-    /// Worker team for the two-phase engine: exactly `num_threads`
-    /// workers (>= 1), rebuilt only when the requested count changes.
+    /// Worker team of the round engine and the XOR pass: exactly
+    /// `num_threads` workers (0 counts as 1), rebuilt only when the
+    /// requested count changes.
     thread_pool& pool(uint32_t num_threads);
 
     /// Per-worker scratch (src/par/scratch.h), created on first request
@@ -307,12 +280,10 @@ public:
     /// worker's scratch once before entering the parallel phase.
     pass_scratch& scratch(uint32_t worker);
 
-    /// Adopt external components (nullptr restores the owned instance).
+    /// Adopt an external database (nullptr restores the owned instance).
     /// The pointee must outlive the context's use.
     void adopt(mc_database* db) { external_mc_db_ = db; }
     void adopt(size_database* db) { external_size_db_ = db; }
-    void adopt(classification_cache* cache) { external_cls_ = cache; }
-    void adopt(npn_cache* cache) { external_npn_ = cache; }
 
     const pass_context_params& params() const { return params_; }
 
@@ -330,12 +301,8 @@ private:
     pass_context_params params_;
     std::unique_ptr<mc_database> mc_db_;
     std::unique_ptr<size_database> size_db_;
-    std::unique_ptr<classification_cache> cls_cache_;
-    std::unique_ptr<npn_cache> npn_cache_;
     mc_database* external_mc_db_ = nullptr;
     size_database* external_size_db_ = nullptr;
-    classification_cache* external_cls_ = nullptr;
-    npn_cache* external_npn_ = nullptr;
     cut_sets cuts_;
     cut_maintainer cut_maint_;
     cone_simulator simulator_;
@@ -390,14 +357,12 @@ private:
     uint32_t max_rounds_;
 };
 
-/// Paar-style resynthesis of maximal linear (XOR-only) blocks.  With
-/// `num_threads >= 1` the quadratic pair-count seeding runs on the
-/// context's worker pool and the admission budget scales with the team
-/// (xor_resynthesis_params::pairing_work_budget).
+/// Paar-style resynthesis of maximal linear (XOR-only) blocks.  The
+/// quadratic pair-count seeding runs on the context's worker pool; the
+/// output is the same for every worker count.
 class xor_resynthesis_pass final : public pass {
 public:
-    xor_resynthesis_pass() = default;
-    explicit xor_resynthesis_pass(uint32_t num_threads)
+    explicit xor_resynthesis_pass(uint32_t num_threads = 1)
         : num_threads_{num_threads}
     {
     }
@@ -405,7 +370,7 @@ public:
     pass_stats run(xag& network, pass_context& ctx) const override;
 
 private:
-    uint32_t num_threads_ = 0;
+    uint32_t num_threads_;
 };
 
 /// Rebuild a compacted, freshly strashed copy of the network.

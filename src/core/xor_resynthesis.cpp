@@ -248,17 +248,9 @@ xor_resynthesis_stats xor_resynthesis(xag& network,
                                          ? SIZE_MAX
                                          : params.max_pairing_width;
 
-    // The per-worker budget scales with the team: seeding is the quadratic
-    // part and it parallelizes row-by-row, so a W-worker pool admits up to
-    // W× the sequential work instead of finishing early and idling.
     const uint32_t seed_workers =
         params.pool != nullptr ? params.pool->num_workers() : 1;
-    const uint64_t effective_budget =
-        params.pairing_work_budget == 0
-            ? 0
-            : params.pairing_work_budget * seed_workers;
     stats.seed_workers = seed_workers;
-    stats.effective_pairing_budget = effective_budget;
 
     const std::vector<uint8_t> narrow = [&] {
         std::vector<uint8_t> flags(rows.size(), 0);
@@ -279,7 +271,10 @@ xor_resynthesis_stats xor_resynthesis(xag& network,
             const auto w = static_cast<uint64_t>(rows[r].terms.size());
             if (w > max_pairing_width)
                 break; // sorted: every later row is at least as wide
-            if (effective_budget != 0 && work + w * w > effective_budget)
+            // The budget does not scale with the team, so the admission
+            // set — and the output — is the same at any worker count.
+            if (params.pairing_work_budget != 0 &&
+                work + w * w > params.pairing_work_budget)
                 break;
             work += w * w;
             flags[r] = 1;

@@ -33,14 +33,9 @@ struct xor_resynthesis_params {
     /// widest accumulator rows run to ~4 500 terms, Σwidth² ≈ 8.5 · 10¹⁰)
     /// degrade gracefully: their widest rows keep their trees exactly as
     /// the old hard cap left them.  0 = unlimited.  Selection depends
-    /// only on the sorted row widths, so it is deterministic.
-    ///
-    /// The budget is per worker: with a pool of W workers the effective
-    /// admission bound is W × this value — the quadratic seeding is the
-    /// part that parallelizes, so idle capacity is spent admitting wider
-    /// rows instead of finishing early.  For a fixed admission set the
-    /// pairing outcome is identical with and without a pool, at any
-    /// worker count (xor_resynthesis_test exercises both).
+    /// only on the sorted row widths — never on the worker count — so the
+    /// output is identical with and without a pool, at any worker count
+    /// (xor_resynthesis_test exercises both).
     uint64_t pairing_work_budget = 2'000'000;
     /// Worker team for pair-count seeding (the Σwidth² part); nullptr
     /// runs the classic sequential seeding.  Extraction and the chain
@@ -64,7 +59,6 @@ struct xor_resynthesis_stats {
     uint32_t rows_paired = 0;     ///< rows admitted to pair extraction
     uint32_t widest_row_paired = 0; ///< widest row admitted
     uint32_t seed_workers = 1;    ///< workers the pair seeding ran on
-    uint64_t effective_pairing_budget = 0; ///< per-worker budget × workers
     outcome status = outcome::ok; ///< non-ok when a token stopped the pass
 };
 

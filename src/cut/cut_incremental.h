@@ -29,7 +29,7 @@
 //    arena sequentially between levels.
 //
 // The refresh is byte-for-byte equivalent to a full rebuild — same cut
-// sets per node, for any thread count, for either engine — because the
+// sets per node, for any thread count — because the
 // kernel is pure, the recompute predicate is conservative, and equality
 // pruning only skips provably-identical work (see docs/hot-path.md,
 // "Incremental cut maintenance", for the induction).

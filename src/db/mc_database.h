@@ -32,8 +32,6 @@ struct mc_database_params {
     bool use_exact = true;              ///< try SAT-based exact synthesis
     uint32_t exact_max_ands = 6;
     uint64_t exact_conflict_budget = 30'000; ///< per AND-count step
-    /// CDCL engine for miss synthesis (`automatic` = process default).
-    sat::sat_engine engine = sat::sat_engine::automatic;
 };
 
 class mc_database {

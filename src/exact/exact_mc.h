@@ -26,8 +26,9 @@ struct exact_mc_params {
     uint32_t max_ands = 7;           ///< give up beyond this many AND gates
     uint64_t conflict_budget = 200'000; ///< per k-step; 0 = unlimited
     cancellation_token token;        ///< cooperative stop (checked per conflict)
-    /// CDCL engine for the per-k solvers (`automatic` = process default).
-    sat::sat_engine engine = sat::sat_engine::automatic;
+    /// CDCL engine for the per-k solvers; legacy is the differential
+    /// oracle (sat_test, bench/micro_core).
+    sat::sat_engine engine = sat::sat_engine::modern;
 };
 
 struct exact_mc_result {

@@ -201,7 +201,7 @@ exact_size_result exact_size_synthesis(const truth_table& f,
         }
         // One encoding, one solve: the bounded preprocessor is sound here
         // (see exact_mc.cpp).
-        solver s{sat::sat_params{.engine = params.engine, .preprocess = true}};
+        solver s{sat::sat_params{.preprocess = true}};
         const auto enc = build_encoding(s, f, r);
         switch (s.solve(params.conflict_budget, params.token)) {
         case solve_result::satisfiable: {

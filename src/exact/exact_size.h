@@ -5,7 +5,6 @@
 #pragma once
 
 #include "core/budget.h"
-#include "sat/types.h"
 #include "tt/truth_table.h"
 #include "xag/xag.h"
 
@@ -17,8 +16,6 @@ struct exact_size_params {
     uint32_t max_gates = 12;            ///< give up beyond this many gates
     uint64_t conflict_budget = 200'000; ///< per step; 0 = unlimited
     cancellation_token token;           ///< cooperative stop
-    /// CDCL engine for the per-step solvers (`automatic` = process default).
-    sat::sat_engine engine = sat::sat_engine::automatic;
 };
 
 struct exact_size_result {

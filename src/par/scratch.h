@@ -14,8 +14,8 @@
 //    consistency.  Shard hit/miss counters are scheduling-dependent and
 //    are reported in aggregate only — the determinism contract covers
 //    networks and replacement counts, not cache traffic;
-//  * the resolved-leaf pools and candidate buffers the sequential loop
-//    kept as locals.
+//  * the resolved-leaf pools, cut-function buffers and candidate-probe
+//    buffers.
 //
 // The cut arena (pass_context::cuts()) stays shared: it is written once
 // by cut enumeration before the phase starts and only read inside it.
@@ -45,7 +45,23 @@ struct pass_scratch {
     std::vector<uint64_t> words;
     std::vector<uint64_t> chunk_words;
     std::vector<uint8_t> valid;
-    std::vector<uint32_t> leaf_nodes;
+
+    // Candidate probe buffers (src/core/pass.cpp, splice_probe): the gates
+    // a probed splice would add, the existing nodes they would reference,
+    // the existing nodes found to reach the rewrite root, the root's cone
+    // over the probed cut, and the existing gates outside that cone the
+    // splice built on.
+    struct probe_gate {
+        signal a, b; ///< canonical fanins (XOR: uncomplemented)
+        bool is_and = false;
+        bool reaches_root = false;
+    };
+    std::vector<probe_gate> probe_gates;
+    std::vector<uint32_t> probe_pins;
+    std::vector<uint32_t> probe_reach;
+    std::vector<uint32_t> probe_cone;
+    std::vector<uint32_t> probe_outside;
+    std::vector<uint32_t> probe_stack;
 
     // Per-worker partial round counters, summed after the phase joins
     // (each is a function of the node set alone, so the sums are

@@ -1,6 +1,6 @@
 // The original self-contained CDCL SAT solver, retained verbatim as the
-// differential oracle behind `sat_params::engine == sat_engine::legacy`
-// (`mcx --sat-engine legacy`): two-literal watching, VSIDS decision
+// differential oracle behind `sat_params::engine == sat_engine::legacy`:
+// two-literal watching, VSIDS decision
 // heuristic with phase saving, first-UIP conflict learning, Luby restarts,
 // and activity-based learnt-clause reduction over `std::vector<clause>`
 // storage.

@@ -6,13 +6,9 @@
 #include "sat/legacy_solver.h"
 #include "sat/modern_solver.h"
 
-#include <atomic>
-
 namespace mcx::sat {
 
 namespace {
-
-std::atomic<sat_engine> g_default_engine{sat_engine::modern};
 
 /// Covers every exit of solve(): a "sat.solve" span (arg = conflicts this
 /// call) and registry deltas of the per-solver stats.  Instance stats stay
@@ -49,35 +45,12 @@ private:
 
 } // namespace
 
-sat_engine default_engine()
-{
-    return g_default_engine.load(std::memory_order_relaxed);
-}
-
-void set_default_engine(sat_engine engine)
-{
-    g_default_engine.store(engine == sat_engine::automatic
-                               ? sat_engine::modern
-                               : engine,
-                           std::memory_order_relaxed);
-}
-
 const char* engine_name(sat_engine engine)
 {
-    switch (engine) {
-    case sat_engine::legacy:
-        return "legacy";
-    case sat_engine::modern:
-        return "modern";
-    case sat_engine::automatic:
-        break;
-    }
-    return engine_name(default_engine());
+    return engine == sat_engine::legacy ? "legacy" : "modern";
 }
 
-solver::solver(sat_params params)
-    : engine_{params.engine == sat_engine::automatic ? default_engine()
-                                                     : params.engine}
+solver::solver(sat_params params) : engine_{params.engine}
 {
     if (engine_ == sat_engine::legacy)
         legacy_ = std::make_unique<legacy_solver>();

@@ -6,7 +6,7 @@
 //     bounded preprocessing (src/sat/modern_solver.h)
 //   - legacy: the original solver, kept verbatim as the differential
 //     oracle (src/sat/legacy_solver.h), selectable per solver via
-//     `sat_params::engine` or process-wide via `mcx --sat-engine legacy`
+//     `sat_params::engine`
 //
 // The facade also owns the cross-engine plumbing: the
 // `fault_site::sat_budget` injection point and the `sat.solve` span +
@@ -37,7 +37,7 @@ public:
     solver(solver&&) noexcept;
     solver& operator=(solver&&) noexcept;
 
-    /// The engine actually backing this solver (never `automatic`).
+    /// The engine backing this solver.
     sat_engine engine() const { return engine_; }
 
     uint32_t num_vars() const;

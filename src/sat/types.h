@@ -5,8 +5,8 @@
 // the modern arena-based core (src/sat/modern_solver.h) and the original
 // vector-of-clauses solver retained verbatim as the differential oracle
 // (src/sat/legacy_solver.h).  Consumers pick an engine per solver through
-// `sat_params::engine`; `automatic` defers to the process-wide default set
-// by `mcx --sat-engine`.
+// `sat_params::engine`; every production consumer uses the modern default,
+// and the differential tests and benches pick legacy explicitly.
 #pragma once
 
 #include <cstdint>
@@ -52,17 +52,10 @@ struct solver_stats {
     uint64_t learnt_removed = 0;
 };
 
-/// Which CDCL core backs a `sat::solver`.  `automatic` resolves to the
-/// process-wide default (modern unless `mcx --sat-engine legacy`).
-enum class sat_engine : uint8_t { automatic, modern, legacy };
+/// Which CDCL core backs a `sat::solver`.
+enum class sat_engine : uint8_t { modern, legacy };
 
-/// Process-wide default engine used by `sat_engine::automatic`.  Set once
-/// at CLI startup; reads are relaxed-atomic so pool workers constructing
-/// solvers concurrently are race-free.
-sat_engine default_engine();
-void set_default_engine(sat_engine engine); ///< `automatic` resets to modern
-
-/// Stable name for reports / flags ("modern" / "legacy").
+/// Stable name for reports ("modern" / "legacy").
 const char* engine_name(sat_engine engine);
 
 /// Restart schedule of the modern core (legacy always uses Luby).
@@ -78,7 +71,7 @@ enum class restart_policy : uint8_t { ema, luby };
 /// under assumptions (`incremental_cec`, `cone_verifier`).  The legacy
 /// engine has no preprocessor and ignores the flag.
 struct sat_params {
-    sat_engine engine = sat_engine::automatic;
+    sat_engine engine = sat_engine::modern;
     bool preprocess = false;
     restart_policy restarts = restart_policy::ema;
 };

@@ -115,16 +115,26 @@ xag::canon_gate xag::canonicalize(node_kind kind, signal a, signal b) const
     return c;
 }
 
-signal xag::create_gate(node_kind kind, signal a, signal b)
+std::optional<signal> xag::find_gate(node_kind kind, signal a,
+                                     signal b) const
 {
     signal folded;
     if (try_fold(kind, a, b, folded))
         return folded;
-
     const auto canon = canonicalize(kind, a, b);
     const auto key = strash_key(kind, canon.a, canon.b);
     if (const auto it = strash_.find(key); it != strash_.end())
         return signal{it->second} ^ canon.output_parity;
+    return std::nullopt;
+}
+
+signal xag::create_gate(node_kind kind, signal a, signal b)
+{
+    if (const auto found = find_gate(kind, a, b))
+        return *found;
+
+    const auto canon = canonicalize(kind, a, b);
+    const auto key = strash_key(kind, canon.a, canon.b);
 
     const auto id = static_cast<uint32_t>(nodes_.size());
     node n;

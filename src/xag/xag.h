@@ -15,6 +15,7 @@
 #include "core/fault_inject.h"
 
 #include <cstdint>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
@@ -88,6 +89,14 @@ public:
     }
 
     uint32_t create_po(signal s);
+
+    /// What create_and/create_xor would return for (a, b), without creating
+    /// anything: the folded signal or the structurally hashed gate that
+    /// already exists; nullopt when the gate would be new.  Operands may
+    /// name nodes at or beyond size() (a caller's not-yet-built gates):
+    /// they fold like any literal but never hit the hash table.  Read-only,
+    /// so concurrent callers are safe while nobody mutates the network.
+    std::optional<signal> find_gate(node_kind kind, signal a, signal b) const;
 
     // ------------------------------------------------------------- access
     uint32_t size() const { return static_cast<uint32_t>(nodes_.size()); }

@@ -2,7 +2,6 @@
 // by simulation against software references and by SAT equivalence, plus
 // the flow-level equivalence sweep (`mc+xor` over every generator family).
 #include "core/flow.h"
-#include "core/rewrite.h"
 #include "db/mc_database.h"
 #include "gen/aes.h"
 #include "gen/arithmetic.h"
@@ -30,9 +29,8 @@ namespace {
 TEST(integration, optimized_des_still_encrypts)
 {
     auto net = gen_des(2); // two rounds keep the test fast
-    mc_database db;
-    classification_cache cache;
-    mc_rewrite(net, db, cache, {}, 3);
+    pass_context ctx;
+    mc_rewrite_pass{{}, 3}.run(net, ctx);
     net.check_integrity();
 
     // Compare against an independently-built reference circuit by random
@@ -51,7 +49,8 @@ TEST(integration, optimized_sbox_equals_reference)
         net.create_po(s);
 
     const auto before = net.num_ands();
-    mc_rewrite(net);
+    pass_context ctx;
+    mc_rewrite_pass{}.run(net, ctx);
     EXPECT_LE(net.num_ands(), before);
 
     const auto tts = simulate(net);
@@ -67,7 +66,8 @@ TEST(integration, optimize_then_export_bristol_sat_equivalent)
 {
     auto net = gen_adder(12);
     const auto golden = cleanup(net);
-    mc_rewrite(net);
+    pass_context ctx;
+    mc_rewrite_pass{}.run(net, ctx);
     auto optimized = cleanup(net);
 
     std::stringstream buffer;
@@ -81,7 +81,8 @@ TEST(integration, optimize_then_export_bristol_sat_equivalent)
 TEST(integration, optimize_then_export_bench_roundtrip)
 {
     auto net = gen_comparator_lt_unsigned(8); // 16 PIs: exhaustive range
-    mc_rewrite(net);
+    pass_context ctx;
+    mc_rewrite_pass{}.run(net, ctx);
     auto optimized = cleanup(net);
 
     std::stringstream buffer;
@@ -96,7 +97,8 @@ TEST(integration, rewriting_reduces_multiplicative_depth_of_adders)
     // replacing 2-AND-deep carry cones with single ANDs cannot deepen.
     auto net = gen_adder(16);
     const auto depth_before = and_depth(net);
-    mc_rewrite(net);
+    pass_context ctx;
+    mc_rewrite_pass{}.run(net, ctx);
     EXPECT_LE(and_depth(net), depth_before);
 }
 
@@ -104,9 +106,10 @@ TEST(integration, database_roundtrip_through_rewrite)
 {
     // Warm a database on one circuit, save, reload, and use it on another.
     mc_database db;
-    classification_cache cache;
+    pass_context ctx;
+    ctx.adopt(&db);
     auto first = gen_multiplier(8);
-    mc_rewrite(first, db, cache, {}, 4);
+    mc_rewrite_pass{{}, 4}.run(first, ctx);
 
     std::stringstream buffer;
     db.save(buffer);
@@ -115,8 +118,9 @@ TEST(integration, database_roundtrip_through_rewrite)
 
     auto second = gen_multiplier(8);
     const auto golden = cleanup(second);
-    classification_cache cache2;
-    mc_rewrite(second, reloaded, cache2, {}, 4);
+    pass_context ctx2;
+    ctx2.adopt(&reloaded);
+    mc_rewrite_pass{{}, 4}.run(second, ctx2);
     EXPECT_TRUE(exhaustive_equal(cleanup(second), golden));
     EXPECT_EQ(second.num_ands(), first.num_ands());
 }
@@ -183,7 +187,8 @@ TEST_P(rewrite_sweep, preserves_function_and_invariants)
     params.cut_size = p.cut_size;
     params.cut_limit = p.cut_limit;
     params.allow_zero_gain = p.zero_gain;
-    mc_rewrite(net, params, 4);
+    pass_context ctx;
+    mc_rewrite_pass{params, 4}.run(net, ctx);
 
     net.check_integrity();
     EXPECT_LE(net.num_ands(), before);

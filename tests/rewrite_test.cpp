@@ -1,5 +1,5 @@
 #include "core/mffc.h"
-#include "core/rewrite.h"
+#include "core/pass.h"
 #include "sat/equivalence.h"
 #include "xag/cleanup.h"
 #include "xag/depth.h"
@@ -92,6 +92,28 @@ TEST(mffc_measure, shared_node_excluded)
     EXPECT_EQ(mffc_and_count(net, g2.node(), leaves), 1u); // g1 is shared
 }
 
+TEST(mffc_measure, pinned_node_and_its_cone_are_kept)
+{
+    xag net;
+    const auto a = net.create_pi();
+    const auto b = net.create_pi();
+    const auto c = net.create_pi();
+    const auto d = net.create_pi();
+    const auto g1 = net.create_and(a, b);
+    const auto g2 = net.create_and(g1, c);
+    const auto g3 = net.create_and(g2, d);
+    net.create_po(g3);
+    const std::vector<uint32_t> leaves{a.node(), b.node(), c.node(),
+                                       d.node()};
+    EXPECT_EQ(mffc_and_count(net, g3.node(), leaves), 3u);
+    // A replacement that would reference g2 keeps g2 and g1 alive.
+    const std::vector<uint32_t> pin_g2{g2.node()};
+    EXPECT_EQ(mffc_and_count(net, g3.node(), leaves, pin_g2), 1u);
+    // Pins on leaves or outside the cone change nothing.
+    const std::vector<uint32_t> pin_leaf{a.node()};
+    EXPECT_EQ(mffc_gate_count(net, g3.node(), leaves, pin_leaf), 3u);
+}
+
 TEST(mc_rewrite_suite, full_adder_reaches_mc_one)
 {
     // Paper Example 3.1 / Fig. 2: the full adder has multiplicative
@@ -100,7 +122,8 @@ TEST(mc_rewrite_suite, full_adder_reaches_mc_one)
     const auto golden = simulate(net);
     ASSERT_EQ(net.num_ands(), 3u);
 
-    const auto result = mc_rewrite(net);
+    pass_context ctx;
+    const auto result = mc_rewrite_pass{}.run(net, ctx);
     EXPECT_EQ(net.num_ands(), 1u);
     EXPECT_EQ(simulate(net), golden);
     EXPECT_TRUE(result.converged);
@@ -116,7 +139,8 @@ TEST(mc_rewrite_suite, ripple_adder_reaches_n_ands)
         // 5 ANDs per naive majority, except stage 0 which folds against the
         // constant carry-in down to a single AND.
         EXPECT_EQ(net.num_ands(), 5 * bits - 4);
-        mc_rewrite(net);
+        pass_context ctx;
+        mc_rewrite_pass{}.run(net, ctx);
         EXPECT_EQ(net.num_ands(), bits);
         EXPECT_EQ(simulate(net), golden);
     }
@@ -126,7 +150,8 @@ TEST(mc_rewrite_suite, already_optimal_adder_unchanged)
 {
     auto net = ripple_adder(6, true); // 6 ANDs: the known optimum
     const auto before = net.num_ands();
-    const auto result = mc_rewrite(net);
+    pass_context ctx;
+    const auto result = mc_rewrite_pass{}.run(net, ctx);
     EXPECT_EQ(net.num_ands(), before);
     EXPECT_TRUE(result.converged);
 }
@@ -136,7 +161,8 @@ TEST(mc_rewrite_suite, and_count_never_increases)
     for (const uint64_t seed : {7u, 8u, 9u}) {
         auto net = random_network(seed, 8, 80, 6);
         const auto before = net.num_ands();
-        mc_rewrite(net);
+        pass_context ctx;
+        mc_rewrite_pass{}.run(net, ctx);
         EXPECT_LE(net.num_ands(), before);
         net.check_integrity();
     }
@@ -147,7 +173,8 @@ TEST(mc_rewrite_suite, function_preserved_on_random_networks)
     for (const uint64_t seed : {10u, 11u, 12u, 13u}) {
         auto net = random_network(seed, 10, 120, 8);
         const auto golden = cleanup(net);
-        mc_rewrite(net);
+        pass_context ctx;
+        mc_rewrite_pass{}.run(net, ctx);
         EXPECT_TRUE(exhaustive_equal(net, golden)) << "seed " << seed;
     }
 }
@@ -156,7 +183,8 @@ TEST(mc_rewrite_suite, formal_equivalence_after_rewrite)
 {
     auto net = ripple_adder(8, false);
     const auto golden = cleanup(net);
-    mc_rewrite(net);
+    pass_context ctx;
+    mc_rewrite_pass{}.run(net, ctx);
     const auto report = sat::check_equivalence(cleanup(net), golden);
     EXPECT_EQ(report.result, sat::equivalence_result::equivalent);
 }
@@ -164,13 +192,12 @@ TEST(mc_rewrite_suite, formal_equivalence_after_rewrite)
 TEST(mc_rewrite_suite, one_round_vs_convergence)
 {
     auto net1 = ripple_adder(12, false);
-    mc_database db;
-    classification_cache cache;
-    const auto one = mc_rewrite_round(net1, db, cache);
+    pass_context ctx;
+    const auto one = mc_rewrite_round(net1, ctx);
     EXPECT_LT(one.ands_after, one.ands_before);
 
     auto net2 = ripple_adder(12, false);
-    const auto conv = mc_rewrite(net2, db, cache);
+    const auto conv = mc_rewrite_pass{}.run(net2, ctx);
     EXPECT_LE(net2.num_ands(), net1.num_ands());
     EXPECT_GE(conv.rounds.size(), 1u);
     EXPECT_TRUE(conv.converged);
@@ -179,11 +206,13 @@ TEST(mc_rewrite_suite, one_round_vs_convergence)
 TEST(mc_rewrite_suite, cache_is_effective_across_rounds)
 {
     auto net = ripple_adder(10, false);
-    mc_database db;
-    classification_cache cache;
-    mc_rewrite(net, db, cache);
-    EXPECT_GT(cache.hits(), 0u);
-    EXPECT_GT(cache.size(), 0u);
+    pass_context ctx;
+    const auto ps = mc_rewrite_pass{}.run(net, ctx);
+    uint64_t hits = 0;
+    for (const auto& r : ps.rounds)
+        hits += r.canon_cache_hits;
+    EXPECT_GT(hits, 0u);
+    EXPECT_GT(ctx.scratch(0).classification.size(), 0u);
 }
 
 TEST(mc_rewrite_suite, respects_cut_size_parameter)
@@ -194,13 +223,15 @@ TEST(mc_rewrite_suite, respects_cut_size_parameter)
     rewrite_params small;
     small.cut_size = 3;
     auto net3 = ripple_adder(8, false);
-    mc_rewrite(net3, small);
+    pass_context ctx3;
+    mc_rewrite_pass{small}.run(net3, ctx3);
     EXPECT_LT(net3.num_ands(), initial);
 
     rewrite_params large;
     large.cut_size = 6;
     auto net6 = ripple_adder(8, false);
-    mc_rewrite(net6, large);
+    pass_context ctx6;
+    mc_rewrite_pass{large}.run(net6, ctx6);
     EXPECT_LT(net6.num_ands(), initial);
     EXPECT_EQ(net6.num_ands(), 8u);
 }
@@ -212,7 +243,8 @@ TEST(size_rewrite_suite, reduces_naive_structures)
     auto net = ripple_adder(8, false);
     const auto golden = simulate(net);
     const auto gates_before = net.num_gates();
-    size_rewrite(net);
+    pass_context ctx;
+    size_rewrite_pass{}.run(net, ctx);
     EXPECT_LT(net.num_gates(), gates_before);
     EXPECT_EQ(simulate(net), golden);
     net.check_integrity();
@@ -223,7 +255,8 @@ TEST(size_rewrite_suite, function_preserved_on_random_networks)
     for (const uint64_t seed : {14u, 15u}) {
         auto net = random_network(seed, 8, 90, 6);
         const auto golden = cleanup(net);
-        size_rewrite(net);
+        pass_context ctx;
+        size_rewrite_pass{}.run(net, ctx);
         EXPECT_TRUE(exhaustive_equal(net, golden)) << "seed " << seed;
         net.check_integrity();
     }
@@ -234,18 +267,18 @@ TEST(size_rewrite_suite, does_not_optimize_ands_specifically)
     // The headline comparison of the paper: generic size optimization keeps
     // many more AND gates than MC-aware rewriting on arithmetic logic.
     auto generic = ripple_adder(12, false);
-    size_rewrite(generic);
+    pass_context ctx;
+    size_rewrite_pass{}.run(generic, ctx);
     auto mc_aware = ripple_adder(12, false);
-    mc_rewrite(mc_aware);
+    mc_rewrite_pass{}.run(mc_aware, ctx);
     EXPECT_GT(generic.num_ands(), mc_aware.num_ands());
 }
 
 TEST(mc_rewrite_suite, zero_gain_disabled_by_default)
 {
     auto net = ripple_adder(4, true);
-    mc_database db;
-    classification_cache cache;
-    const auto stats = mc_rewrite_round(net, db, cache);
+    pass_context ctx;
+    const auto stats = mc_rewrite_round(net, ctx);
     EXPECT_EQ(stats.ands_after, stats.ands_before);
 }
 

@@ -89,6 +89,35 @@ TEST(xag_network, structural_hashing_xor_polarity)
     EXPECT_EQ(g4, g1);
 }
 
+TEST(xag_network, find_gate_answers_like_create_without_creating)
+{
+    xag net;
+    const auto a = net.create_pi();
+    const auto b = net.create_pi();
+    const auto c = net.create_pi();
+    const auto g = net.create_and(a, b);
+    const auto x = net.create_xor(a, b);
+    const auto size = net.size();
+
+    // Structural-hashing hits, in either fanin order and XOR polarity.
+    EXPECT_EQ(net.find_gate(node_kind::and_gate, b, a), g);
+    EXPECT_EQ(net.find_gate(node_kind::xor_gate, !a, b), !x);
+    // Folds.
+    EXPECT_EQ(net.find_gate(node_kind::and_gate, a, a), a);
+    EXPECT_EQ(net.find_gate(node_kind::and_gate, a, !a),
+              net.get_constant(false));
+    EXPECT_EQ(net.find_gate(node_kind::xor_gate, c, net.get_constant(true)),
+              !c);
+    // A gate that would be new, also over a node past the end.
+    EXPECT_FALSE(net.find_gate(node_kind::and_gate, a, c).has_value());
+    const signal beyond{size + 3, false};
+    EXPECT_FALSE(net.find_gate(node_kind::xor_gate, a, beyond).has_value());
+    EXPECT_EQ(net.find_gate(node_kind::xor_gate, beyond, beyond),
+              net.get_constant(false));
+    EXPECT_EQ(net.size(), size);
+    EXPECT_EQ(net.num_gates(), 2u);
+}
+
 TEST(xag_network, full_adder_simulation)
 {
     // Fig. 1(a): textbook full adder with 3 AND and 2 XOR gates.

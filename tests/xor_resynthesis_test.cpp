@@ -1,4 +1,4 @@
-#include "core/rewrite.h"
+#include "core/pass.h"
 #include "core/xor_resynthesis.h"
 #include "gen/arithmetic.h"
 #include "gen/hashes.h"
@@ -96,7 +96,8 @@ TEST(xor_resynthesis_pass, after_mc_rewrite_on_adder)
     // The paper's pipeline leaves XOR-heavy affine interfaces behind; the
     // resynthesis pass must clean them up without touching the AND optimum.
     auto net = gen_adder(16);
-    mc_rewrite(net);
+    pass_context ctx;
+    mc_rewrite_pass{}.run(net, ctx);
     const auto ands = net.num_ands();
     const auto golden = cleanup(net);
 
@@ -286,26 +287,36 @@ TEST(xor_resynthesis_pass, pool_splits_single_wide_rows_deterministically)
     }
 }
 
-TEST(xor_resynthesis_pass, pool_scales_the_admission_budget)
+TEST(xor_resynthesis_pass, binding_budget_is_worker_count_independent)
 {
-    // The work budget is per worker: a W-worker pool admits rows until
-    // W x budget is spent, so a budget that starves the sequential pass
-    // can still pair rows under a pool — and says so in the stats.
-    const uint64_t budget = 2400; // admits nothing sequentially (24² = 576
-                                  // per row, 4 rows, cumulative cap)
+    // The work budget is the same for every team size: under a budget that
+    // admits some rows but not all, the admission set — and so the rebuilt
+    // network — must not depend on whether or how wide a pool seeds pairs.
+    const auto serialize = [](const xag& n) {
+        std::ostringstream os;
+        write_bench(cleanup(n), os);
+        return os.str();
+    };
+    const uint64_t budget = 2400; // 25-term rows cost 625 each: 3 of 4 fit
     auto seq = wide_row_network(24, 4);
-    const auto stats_seq = xor_resynthesis(seq, {.pairing_work_budget = budget});
-    EXPECT_EQ(stats_seq.effective_pairing_budget, budget);
-
-    thread_pool pool{4};
-    auto par = wide_row_network(24, 4);
-    const auto golden = cleanup(par);
-    const auto stats_par = xor_resynthesis(
-        par, {.pairing_work_budget = budget, .pool = &pool});
-    par.check_integrity();
-    EXPECT_EQ(stats_par.effective_pairing_budget, 4 * budget);
-    EXPECT_GE(stats_par.rows_paired, stats_seq.rows_paired);
-    EXPECT_TRUE(exhaustive_equal(cleanup(par), golden));
+    const auto golden = cleanup(seq);
+    const auto stats_seq =
+        xor_resynthesis(seq, {.pairing_work_budget = budget});
+    ASSERT_GT(stats_seq.rows_paired, 0u);
+    ASSERT_LT(stats_seq.rows_paired, stats_seq.blocks); // the budget binds
+    const auto oracle = serialize(seq);
+    EXPECT_TRUE(exhaustive_equal(cleanup(seq), golden));
+    for (const uint32_t workers : {1u, 4u}) {
+        thread_pool pool{workers};
+        auto par = wide_row_network(24, 4);
+        const auto stats = xor_resynthesis(
+            par, {.pairing_work_budget = budget, .pool = &pool});
+        par.check_integrity();
+        EXPECT_EQ(serialize(par), oracle) << workers << " workers";
+        EXPECT_EQ(stats.rows_paired, stats_seq.rows_paired)
+            << workers << " workers";
+        EXPECT_EQ(stats.seed_workers, workers);
+    }
 }
 
 TEST(xor_resynthesis_pass, keccak_generator_produces_wide_rows)

@@ -191,8 +191,6 @@ void write_report(const std::string& path, const std::string& input,
     }
     std::fprintf(f, "{\n  \"tool\": \"mcx\",\n  \"flow\": \"%s\",\n",
                  result.flow_name.c_str());
-    std::fprintf(f, "  \"sat_engine\": \"%s\",\n",
-                 sat::engine_name(sat::default_engine()));
     std::fprintf(f, "  \"input\": \"%s\",\n", json_escape(input).c_str());
     std::fprintf(f, "  ");
     json_xag_stats(f, "before", result.before);
@@ -393,29 +391,12 @@ void usage(FILE* out)
         "  --cut-limit <l>         cuts kept per node (default 12)\n"
         "  --zero-gain             accept zero-gain replacements\n"
         "  --iterate               repeat the flow until AND convergence\n"
-        "  -j, --threads <n>       rewrite passes on n workers (two-phase\n"
-        "                          engine; output is bit-identical for any\n"
-        "                          n >= 1 — see docs/parallel.md).  Default:\n"
-        "                          the classic sequential loop\n"
-        "  --no-batch              disable batched cone simulation (A/B)\n"
-        "  --classify-baseline     use the scalar affine classifier (A/B)\n"
-        "  --incremental-cuts <m>  on (default) | off: maintain cut sets\n"
-        "                          incrementally across rounds vs. full\n"
-        "                          re-enumeration every round (A/B; output\n"
-        "                          is identical)\n"
-        "  --incremental-eval <m>  on (default) | off: re-evaluate only the\n"
-        "                          nodes whose cut/MFFC context changed since\n"
-        "                          the last round vs. full evaluation every\n"
-        "                          round (A/B; output is identical; see\n"
-        "                          docs/hot-path.md)\n"
+        "  -j, --threads <n>       run the passes on n workers (default 1;\n"
+        "                          output is bit-identical for any n — see\n"
+        "                          docs/parallel.md)\n"
         "  --sat-commits <m>       on | off (default): SAT-check every\n"
         "                          replacement cone at commit time on a warm\n"
         "                          persistent solver (docs/robustness.md)\n"
-        "  --sat-engine <e>        modern (default) | legacy: CDCL core for\n"
-        "                          every SAT consumer — exact synthesis,\n"
-        "                          equivalence checking, commit verification\n"
-        "                          (docs/sat.md; verdicts and AND counts are\n"
-        "                          engine-independent)\n"
         "\n"
         "resource limits (docs/robustness.md):\n"
         "  --deadline <sec>        wall-clock budget for the whole flow; on\n"
@@ -569,32 +550,6 @@ int main(int argc, char** argv)
                 return exit_usage;
             }
             opt.params.num_threads = n;
-        }
-        else if (arg == "--no-batch") {
-            opt.params.rewrite.batched_simulation = false;
-            opt.params.size_rewrite.batched_simulation = false;
-        } else if (arg == "--incremental-cuts") {
-            const std::string mode = next();
-            if (mode != "on" && mode != "off") {
-                std::fprintf(stderr,
-                             "error: --incremental-cuts needs on|off, got "
-                             "'%s'\n",
-                             mode.c_str());
-                return exit_usage;
-            }
-            opt.params.rewrite.incremental_cuts = mode == "on";
-            opt.params.size_rewrite.incremental_cuts = mode == "on";
-        } else if (arg == "--incremental-eval") {
-            const std::string mode = next();
-            if (mode != "on" && mode != "off") {
-                std::fprintf(stderr,
-                             "error: --incremental-eval needs on|off, got "
-                             "'%s'\n",
-                             mode.c_str());
-                return exit_usage;
-            }
-            opt.params.rewrite.incremental_evaluate = mode == "on";
-            opt.params.size_rewrite.incremental_evaluate = mode == "on";
         } else if (arg == "--sat-commits") {
             const std::string mode = next();
             if (mode != "on" && mode != "off") {
@@ -605,20 +560,7 @@ int main(int argc, char** argv)
             }
             opt.params.rewrite.sat_verify_commits = mode == "on";
             opt.params.size_rewrite.sat_verify_commits = mode == "on";
-        } else if (arg == "--sat-engine") {
-            const std::string mode = next();
-            if (mode != "modern" && mode != "legacy") {
-                std::fprintf(stderr,
-                             "error: --sat-engine needs modern|legacy, got "
-                             "'%s'\n",
-                             mode.c_str());
-                return exit_usage;
-            }
-            sat::set_default_engine(mode == "legacy" ? sat::sat_engine::legacy
-                                                     : sat::sat_engine::modern);
-        } else if (arg == "--classify-baseline")
-            opt.params.rewrite.classification_word_parallel = false;
-        else if (arg == "--deadline")
+        } else if (arg == "--deadline")
             opt.deadline_seconds = next_seconds();
         else if (arg == "--pass-deadline")
             opt.pass_deadline_seconds = next_seconds();
