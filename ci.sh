@@ -5,7 +5,8 @@
 #
 # bench_micro_core exits non-zero if the word-parallel fast paths regress
 # below their speedup gates (npn >= 5x, cut enumeration >= 2x, classify
-# >= 4x, batched rewrite round >= 1x vs. the per-cut path) and emits
+# >= 4x, batched cone simulation >= 1x vs. per-cut cone_function on the
+# enumerated cuts of adder64 and des4) and emits
 # BENCH_micro_core.json with per-stage ns/op, cache hit rates, and the
 # A/B numbers (schema: docs/artifacts.md).
 #
@@ -62,8 +63,8 @@ cmp build/adder16_opt.bench build/adder16_satcold.bench || {
 
 # Parallel flow smoke (docs/parallel.md determinism contract): the
 # default run (one worker) must be bit-identical to explicit --threads 1
-# and --threads 4 runs — on adder16, and on aes128, whose XOR pass has a
-# binding pairing budget.
+# and --threads 4 runs — on adder16, on aes128, whose XOR pass has a
+# binding pairing budget, and on des4, the first deep circuit of the set.
 ./build/tools/mcx --flow mc+xor --threads 4 gen:adder:16 \
     -o build/adder16_par4.bench --report FLOW_smoke_par.json
 ./build/tools/mcx --flow mc+xor --threads 1 gen:adder:16 \
@@ -73,8 +74,14 @@ cmp build/adder16_opt.bench build/adder16_satcold.bench || {
     -o build/aes128_par1.bench
 ./build/tools/mcx --flow mc+xor --threads 4 gen:aes128 \
     -o build/aes128_par4.bench
+./build/tools/mcx --flow mc+xor gen:des:4 -o build/des4_opt.bench
+./build/tools/mcx --flow mc+xor --threads 1 gen:des:4 \
+    -o build/des4_par1.bench
+./build/tools/mcx --flow mc+xor --threads 4 gen:des:4 \
+    -o build/des4_par4.bench
 for pair in adder16_opt:adder16_par1 adder16_opt:adder16_par4 \
-            aes128_opt:aes128_par1 aes128_opt:aes128_par4; do
+            aes128_opt:aes128_par1 aes128_opt:aes128_par4 \
+            des4_opt:des4_par1 des4_opt:des4_par4; do
     cmp "build/${pair%%:*}.bench" "build/${pair##*:}.bench" || {
         echo "ci.sh: ${pair##*:} output differs from the default run" >&2
         exit 1

@@ -6,13 +6,11 @@
 #include "obs/trace.h"
 #include "tt/operations.h"
 #include "xag/cleanup.h"
-#include "xag/simulate.h"
 
 #include <algorithm>
 #include <array>
 #include <chrono>
 #include <optional>
-#include <unordered_map>
 #include <utility>
 
 namespace mcx {
@@ -250,41 +248,9 @@ private:
     std::vector<uint32_t>& outside_;
 };
 
-/// Walk the candidate cone down to `leaves`; verify the computed function
-/// and that `forbidden` (the rewrite root) is not part of the cone.  The
-/// seed-faithful per-cone implementation, used when batched_simulation is
-/// off (A/B reference).
-bool verify_candidate_legacy(const xag& net, signal candidate,
-                             std::span<const uint32_t> leaves,
-                             const truth_table& expected, uint32_t forbidden)
-{
-    // Containment check by DFS.
-    std::vector<uint32_t> stack{candidate.node()};
-    std::unordered_map<uint32_t, uint8_t> visited;
-    for (const auto l : leaves)
-        visited.emplace(l, 1);
-    while (!stack.empty()) {
-        const auto n = stack.back();
-        stack.pop_back();
-        if (!visited.emplace(n, 1).second)
-            continue;
-        if (n == forbidden)
-            return false;
-        if (!net.is_gate(n))
-            continue;
-        stack.push_back(net.fanin0(n).node());
-        stack.push_back(net.fanin1(n).node());
-    }
-    try {
-        const auto tt = cone_function(net, candidate.node(), leaves);
-        return (candidate.complemented() ? ~tt : tt) == expected;
-    } catch (const std::invalid_argument&) {
-        return false;
-    }
-}
-
-/// Batched-path verification: one epoch-stamped traversal computes the
-/// candidate's function word and performs the containment check at once.
+/// Verify a built candidate: one epoch-stamped traversal computes its
+/// function word and checks that `forbidden` (the rewrite root) is not part
+/// of its cone.
 bool verify_candidate(const xag& net, cone_simulator& sim, signal candidate,
                       std::span<const uint32_t> leaves,
                       const truth_table& expected, uint32_t forbidden)
@@ -315,13 +281,12 @@ std::optional<signal> trivial_replacement(Dst& net, const truth_table& f,
 }
 
 /// Phases 1-2 of a node visit: resolve the node's enumerated cuts to live,
-/// sorted, deduplicated leaf sets, then evaluate every cut function —
-/// batched union-cone traversal or the per-cut legacy path.  Returns the
-/// number of active cuts; leaf sets are in pool[0..count), function words
-/// in `words`, per-cut validity in `valid`.  `cuts_evaluated` is bumped
-/// once per resolved cut.
+/// sorted, deduplicated leaf sets, then evaluate every cut function in
+/// batched live-lane traversals.  Returns the number of active cuts; leaf
+/// sets are in pool[0..count), function words in `words`, per-cut validity
+/// in `valid`.  `cuts_evaluated` is bumped once per resolved cut.
 size_t resolve_and_simulate(const xag& net, std::span<const cut> node_cuts,
-                            uint32_t n, cone_simulator& sim, bool batched,
+                            uint32_t n, cone_simulator& sim,
                             std::vector<cone_simulator::leaf_set>& pool,
                             std::vector<uint64_t>& words,
                             std::vector<uint64_t>& chunk_words,
@@ -364,26 +329,15 @@ size_t resolve_and_simulate(const xag& net, std::span<const cut> node_cuts,
 
     words.assign(count, 0);
     valid.assign(count, 0);
-    if (batched) {
-        // Chunked so arbitrarily large per-node cut counts work (the
-        // simulator evaluates up to 64 lanes per call).
-        for (size_t base = 0; base < count; base += 64) {
-            const auto chunk = std::min<size_t>(64, count - base);
-            const auto mask = sim.simulate_cuts(
-                net, n, active.subspan(base, chunk), chunk_words);
-            for (size_t j = 0; j < chunk; ++j) {
-                words[base + j] = chunk_words[j];
-                valid[base + j] = static_cast<uint8_t>((mask >> j) & 1);
-            }
-        }
-    } else {
-        for (size_t i = 0; i < count; ++i) {
-            try {
-                words[i] = cone_function(net, n, active[i]).word();
-                valid[i] = 1;
-            } catch (const std::invalid_argument&) {
-                // no longer a cut of n
-            }
+    // Chunked so arbitrarily large per-node cut counts work (the simulator
+    // evaluates up to 64 lanes per call).
+    for (size_t base = 0; base < count; base += 64) {
+        const auto chunk = std::min<size_t>(64, count - base);
+        const auto mask = sim.simulate_cuts(
+            net, n, active.subspan(base, chunk), chunk_words);
+        for (size_t j = 0; j < chunk; ++j) {
+            words[base + j] = chunk_words[j];
+            valid[base + j] = static_cast<uint8_t>((mask >> j) & 1);
         }
     }
     return count;
@@ -409,7 +363,7 @@ std::optional<scored_candidate> build_scored_candidate(
     xag& net, cone_simulator& sim, Strategy& strat, pass_scratch& shard,
     const truth_table& f, std::span<const signal> leaf_sigs,
     std::span<const uint32_t> support_nodes,
-    std::span<const uint32_t> mffc_leaves, uint32_t n, bool batched)
+    std::span<const uint32_t> mffc_leaves, uint32_t n)
 {
     const auto cost_before = strat.created_cost();
     std::optional<signal> candidate = trivial_replacement(net, f, leaf_sigs);
@@ -420,11 +374,7 @@ std::optional<scored_candidate> build_scored_candidate(
     }
     const auto created = strat.created_cost() - cost_before;
     net.take_ref(*candidate);
-    const bool ok =
-        batched ? verify_candidate(net, sim, *candidate, support_nodes, f, n)
-                : verify_candidate_legacy(net, *candidate, support_nodes, f,
-                                          n);
-    if (!ok) {
+    if (!verify_candidate(net, sim, *candidate, support_nodes, f, n)) {
         net.release_ref(net.resolve(*candidate));
         return std::nullopt;
     }
@@ -435,15 +385,15 @@ std::optional<scored_candidate> build_scored_candidate(
 
 /// Incremental-evaluate and commit-verification wiring for one round,
 /// derived by generic_round from the maintainer/cache coherence handshake.
-/// `cache == nullptr` disables caching entirely; `cache_valid` says the
-/// surviving entries may be consulted this round (`dirty` is then the
-/// maintainer's fanout closure over everything that changed since they
-/// were written).  `verifier`, when set, SAT-checks every replacement
-/// cone against its pre-image before the substitute commits.
+/// `cache_valid` says the surviving entries of `cache` may be consulted
+/// this round (`dirty` is then the maintainer's fanout closure over
+/// everything that changed since they were written).  `verifier`, when
+/// set, SAT-checks every replacement cone against its pre-image before
+/// the substitute commits.
 struct round_env {
-    evaluate_cache* cache = nullptr;
+    evaluate_cache& cache;
     bool cache_valid = false;
-    std::span<const uint8_t> dirty;
+    std::span<const uint8_t> dirty{};
     sat::cone_verifier* verifier = nullptr;
 };
 
@@ -480,12 +430,12 @@ struct round_env {
 
 template <typename Strategy>
 void evaluate_node(const xag& net, const cut_sets& cuts, Strategy& strat,
-                   pass_scratch& sc, bool allow_zero_gain, bool batched,
-                   uint32_t n, eval_winner& winner)
+                   pass_scratch& sc, bool allow_zero_gain, uint32_t n,
+                   eval_winner& winner)
 {
     // ---- phases 1-2 against the frozen network.
     const auto num_resolved = resolve_and_simulate(
-        net, cuts[n], n, sc.simulator, batched, sc.resolved, sc.words,
+        net, cuts[n], n, sc.simulator, sc.resolved, sc.words,
         sc.chunk_words, sc.valid, sc.cuts_evaluated);
     if (num_resolved == 0)
         return;
@@ -559,9 +509,8 @@ void evaluate_node(const xag& net, const cut_sets& cuts, Strategy& strat,
 
 template <typename Strategy>
 void run_two_phase_round(xag& net, pass_context& ctx, round_stats& stats,
-                         bool allow_zero_gain, bool batched,
-                         uint32_t num_threads, Strategy& strat,
-                         const round_env& env)
+                         bool allow_zero_gain, uint32_t num_threads,
+                         Strategy& strat, const round_env& env)
 {
     // Gate nodes in topological order: the evaluate phase's index space
     // and the commit phase's application order.
@@ -588,7 +537,7 @@ void run_two_phase_round(xag& net, pass_context& ctx, round_stats& stats,
     // function of (network, cut sets, node), so the cached winner of a
     // clean node whose outside gates are clean too is byte-equal to what
     // re-evaluating it would produce, at any thread count.
-    auto* cache = env.cache;
+    auto& cache = env.cache;
     const auto outside_clean = [&](const eval_winner& w) {
         for (uint8_t i = 0; i < w.num_outside; ++i) {
             const auto g = w.outside[i];
@@ -605,10 +554,10 @@ void run_two_phase_round(xag& net, pass_context& ctx, round_stats& stats,
         for (size_t idx = 0; idx < nodes.size(); ++idx) {
             const auto n = nodes[idx];
             if (env.cache_valid && n < env.dirty.size() &&
-                env.dirty[n] == 0 && n < cache->has_entry.size() &&
-                cache->has_entry[n] != 0 &&
-                outside_clean(cache->winners[n])) {
-                winners[idx] = cache->winners[n];
+                env.dirty[n] == 0 && n < cache.has_entry.size() &&
+                cache.has_entry[n] != 0 &&
+                outside_clean(cache.winners[n])) {
+                winners[idx] = cache.winners[n];
                 ++stats.nodes_clean;
             } else {
                 fresh.push_back(static_cast<uint32_t>(idx));
@@ -624,8 +573,7 @@ void run_two_phase_round(xag& net, pass_context& ctx, round_stats& stats,
                 return; // leave the winner invalid; the round is discarded
             const auto idx = fresh[i];
             evaluate_node(net, cuts, strat, ctx.scratch(worker),
-                          allow_zero_gain, batched, nodes[idx],
-                          winners[idx]);
+                          allow_zero_gain, nodes[idx], winners[idx]);
             winners[idx].worker = worker;
         });
     }
@@ -646,8 +594,7 @@ void run_two_phase_round(xag& net, pass_context& ctx, round_stats& stats,
     // interrupted one consistent.  The cache is poisoned by the same
     // partial scoring, so it resets too.
     if (token.stop_requested()) {
-        if (cache != nullptr)
-            cache->reset();
+        cache.reset();
         stats.status = token.stop_reason();
         if (stats.status == outcome::ok)
             stats.status = outcome::cancelled;
@@ -657,15 +604,13 @@ void run_two_phase_round(xag& net, pass_context& ctx, round_stats& stats,
     // Store the freshly scored winners back by node id; the cache now
     // reflects the refresh this round started from (generic_round stamps
     // the serial after the engine returns).
-    if (cache != nullptr) {
-        if (cache->winners.size() < net.size()) {
-            cache->winners.resize(net.size());
-            cache->has_entry.resize(net.size(), 0);
-        }
-        for (const auto idx : fresh) {
-            cache->winners[nodes[idx]] = winners[idx];
-            cache->has_entry[nodes[idx]] = winners[idx].cacheable;
-        }
+    if (cache.winners.size() < net.size()) {
+        cache.winners.resize(net.size());
+        cache.has_entry.resize(net.size(), 0);
+    }
+    for (const auto idx : fresh) {
+        cache.winners[nodes[idx]] = winners[idx];
+        cache.has_entry[nodes[idx]] = winners[idx].cacheable;
     }
 
     // ---- phase 2: sequential commit in node order.
@@ -710,7 +655,7 @@ void run_two_phase_round(xag& net, pass_context& ctx, round_stats& stats,
         if (!leaves_intact(scored_winner)) {
             rescored = {};
             evaluate_node(net, ctx.cuts(), strat, ctx.scratch(0),
-                          allow_zero_gain, batched, n, rescored);
+                          allow_zero_gain, n, rescored);
             if (!rescored.valid)
                 continue;
             wp = &rescored;
@@ -733,7 +678,7 @@ void run_two_phase_round(xag& net, pass_context& ctx, round_stats& stats,
         auto& shard = ctx.scratch(w.worker);
         const auto scored = build_scored_candidate(
             net, sim, strat, shard, w.function, leaf_sigs, support_nodes,
-            full_leaves, n, batched);
+            full_leaves, n);
         if (!scored)
             continue;
         bool commit = scored->sig.node() != n &&
@@ -768,15 +713,14 @@ void run_two_phase_round(xag& net, pass_context& ctx, round_stats& stats,
 
 /// Round boilerplate shared by both rewrite flavors: network shape and
 /// database-traffic deltas, stage timing, cut refresh into the context's
-/// arena (incremental across rounds by default — only the previous
-/// round's dirty region is re-enumerated, level-parallel on the worker
-/// pool), then the two-phase round above.
+/// arena (incremental across rounds — only the previous round's dirty
+/// region is re-enumerated, level-parallel on the worker pool), then the
+/// two-phase round above.
 template <typename Strategy>
 round_stats generic_round(xag& network, pass_context& ctx, uint32_t cut_size,
                           uint32_t cut_limit, bool allow_zero_gain,
-                          bool batched, uint32_t num_threads,
-                          bool incremental_cuts, bool incremental_evaluate,
-                          bool sat_verify, Strategy strat)
+                          uint32_t num_threads, bool sat_verify,
+                          Strategy strat)
 {
     const auto start = std::chrono::steady_clock::now();
     obs::trace::trace_span round_span{"round"};
@@ -806,8 +750,7 @@ round_stats generic_round(xag& network, pass_context& ctx, uint32_t cut_size,
             const obs::trace::trace_span refresh_span{"phase.cut-refresh"};
             maint.refresh(
                 network, ctx.cuts(),
-                {.cut_size = cut_size, .cut_limit = cut_limit,
-                 .incremental = incremental_cuts},
+                {.cut_size = cut_size, .cut_limit = cut_limit},
                 &stats.cut_stats, &ctx.pool(num_threads), ctx.token);
         }
         cuts_done = std::chrono::steady_clock::now();
@@ -823,38 +766,32 @@ round_stats generic_round(xag& network, pass_context& ctx, uint32_t cut_size,
         // resets the cache; it repopulates this round and is usable the
         // next.  The thread count does not matter — winners are
         // thread-count independent.
-        round_env env;
+        auto& cache = ctx.eval_cache();
+        round_env env{.cache = cache};
         if (sat_verify)
             env.verifier = &ctx.commit_verifier();
-        if (incremental_evaluate && incremental_cuts) {
-            auto& cache = ctx.eval_cache();
-            env.cache = &cache;
-            env.cache_valid =
-                cache.net == &network && cache.cut_size == cut_size &&
-                cache.cut_limit == cut_limit &&
-                cache.allow_zero_gain == allow_zero_gain &&
-                cache.batched == batched &&
-                cache.strategy == Strategy::kind &&
-                maint.last_refresh_incremental() &&
-                cache.serial + 1 == maint.refresh_serial();
-            if (env.cache_valid) {
-                env.dirty = maint.evaluate_dirty();
-            } else {
-                cache.reset();
-                cache.net = &network;
-                cache.cut_size = cut_size;
-                cache.cut_limit = cut_limit;
-                cache.allow_zero_gain = allow_zero_gain;
-                cache.batched = batched;
-                cache.strategy = Strategy::kind;
-            }
+        env.cache_valid = cache.net == &network &&
+                          cache.cut_size == cut_size &&
+                          cache.cut_limit == cut_limit &&
+                          cache.allow_zero_gain == allow_zero_gain &&
+                          cache.strategy == Strategy::kind &&
+                          maint.last_refresh_incremental() &&
+                          cache.serial + 1 == maint.refresh_serial();
+        if (env.cache_valid) {
+            env.dirty = maint.evaluate_dirty();
+        } else {
+            cache.reset();
+            cache.net = &network;
+            cache.cut_size = cut_size;
+            cache.cut_limit = cut_limit;
+            cache.allow_zero_gain = allow_zero_gain;
+            cache.strategy = Strategy::kind;
         }
 
-        run_two_phase_round(network, ctx, stats, allow_zero_gain, batched,
+        run_two_phase_round(network, ctx, stats, allow_zero_gain,
                             num_threads, strat, env);
 
-        if (env.cache != nullptr)
-            env.cache->serial = maint.refresh_serial();
+        cache.serial = maint.refresh_serial();
     } catch (const cancelled_error& e) {
         stats.status = e.reason();
         ctx.cut_maintenance().invalidate();
@@ -1034,9 +971,7 @@ round_stats mc_rewrite_round(xag& network, pass_context& ctx,
                              const rewrite_params& params)
 {
     return generic_round(network, ctx, params.cut_size, params.cut_limit,
-                         params.allow_zero_gain, params.batched_simulation,
-                         params.num_threads, params.incremental_cuts,
-                         params.incremental_evaluate,
+                         params.allow_zero_gain, params.num_threads,
                          params.sat_verify_commits,
                          mc_strategy{network, ctx.mc_db(), ctx.token});
 }
@@ -1045,9 +980,7 @@ round_stats size_rewrite_round(xag& network, pass_context& ctx,
                                const size_rewrite_params& params)
 {
     return generic_round(network, ctx, params.cut_size, params.cut_limit,
-                         params.allow_zero_gain, /*batched=*/true,
-                         params.num_threads, params.incremental_cuts,
-                         params.incremental_evaluate,
+                         params.allow_zero_gain, params.num_threads,
                          params.sat_verify_commits,
                          size_strategy{network, ctx.size_db(), ctx.token});
 }

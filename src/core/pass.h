@@ -10,12 +10,14 @@
 // one record per executed pass, with per-round breakdowns for the rewrite
 // passes.
 //
-// The rewrite passes share ONE round implementation (pass.cpp): cut
-// enumeration into the arena, batched evaluation of all of a node's cut
-// functions in a single union-cone traversal, canonize/classify through
-// the per-worker cache shards, database splice, MFFC-gated commit.  mc
-// vs. size differ only in a small strategy bundle (candidate builder +
-// cost model).
+// The rewrite passes share ONE round implementation (pass.cpp): an
+// incremental cut refresh into the arena, batched evaluation of all of a
+// node's cut functions in one live-lane traversal, canonize/classify
+// through the per-worker cache shards, database splice, MFFC-gated commit.
+// mc vs. size differ only in a small strategy bundle (candidate builder +
+// cost model).  No parameter selects a reference path: a test reaches the
+// full-rebuild oracle with cut_maintenance().invalidate() and the
+// full-evaluate oracle with eval_cache().reset() before a round.
 //
 // Every round runs on the parallel subsystem (src/par/): a work-stealing
 // evaluate phase scores the best candidate per node against the frozen
@@ -57,28 +59,10 @@ struct rewrite_params {
     /// pass_context, whose pass_context_params carry the budget.
     uint64_t classification_iteration_limit = 100'000;
     bool allow_zero_gain = false;
-    /// Batch all of a node's cut functions into one union-cone traversal
-    /// (cone_simulator).  The per-cut cone_function path is retained for
-    /// A/B measurement (bench/micro_core) — both produce identical results.
-    bool batched_simulation = true;
     /// Workers of the two-phase round engine; results are bit-identical
     /// for every value (docs/parallel.md), and the default 1 is the
     /// reference run.
     uint32_t num_threads = 1;
-    /// Maintain cut sets incrementally across rounds (default): after the
-    /// first round only the dirty region — replaced MFFCs' transitive
-    /// fanout plus new gates — is re-enumerated, level-parallel on the
-    /// worker pool.  `false` is the full-rebuild oracle; both modes
-    /// produce byte-identical networks (src/cut/cut_incremental.h).
-    bool incremental_cuts = true;
-    /// Re-score only nodes whose cut spans or cone context (MFFC, leaf
-    /// liveness) changed since the previous round; clean nodes reuse the
-    /// persistent per-node evaluation cache in the pass_context.  Requires
-    /// incremental_cuts (the dirty set is derived from the same journal);
-    /// with it off, every round evaluates every node — the full-evaluate
-    /// oracle, byte-identical to the incremental path at any thread count
-    /// (docs/hot-path.md, "The evaluate dirty-set contract").
-    bool incremental_evaluate = true;
     /// Commit-time SAT verification: check each replacement cone against
     /// its pre-image miter under assumptions on the context's persistent
     /// cone_verifier before substituting.  Off by default — simulation
@@ -93,8 +77,6 @@ struct size_rewrite_params {
     uint32_t cut_limit = 12;
     bool allow_zero_gain = false;
     uint32_t num_threads = 1;        ///< see rewrite_params
-    bool incremental_cuts = true;    ///< see rewrite_params
-    bool incremental_evaluate = true; ///< see rewrite_params
     bool sat_verify_commits = false; ///< see rewrite_params
     size_database_params db;
 };
@@ -124,9 +106,9 @@ struct round_stats {
     uint64_t db_hits = 0;
     uint64_t db_misses = 0;
     /// Incremental-evaluate traffic: nodes re-scored this round vs. nodes
-    /// served from the persistent evaluation cache.  With the feature off
-    /// every visited gate counts as evaluated; a quiescent incremental
-    /// round reports nodes_evaluated == 0.
+    /// served from the persistent evaluation cache.  A round after a full
+    /// cut rebuild or an evaluate-cache reset evaluates every gate; a
+    /// quiescent round reports nodes_evaluated == 0.
     uint64_t nodes_evaluated = 0;
     uint64_t nodes_clean = 0;
     /// Commit-time SAT verification traffic (sat_verify_commits only).
@@ -207,19 +189,17 @@ struct eval_winner {
 };
 
 /// Persistent per-node evaluation results, reused across rounds for nodes
-/// the cut_maintainer's dirty set clears (rewrite_params::
-/// incremental_evaluate).  Coherence handshake: the cache is only
-/// consulted when it was populated at the maintainer's previous refresh
-/// serial, that refresh chain is unbroken (last refresh incremental), and
-/// every parameter that shapes an evaluation matches.  Any mismatch
-/// resets the cache — correctness never depends on it.
+/// the cut_maintainer's dirty set clears.  Coherence handshake: the cache
+/// is only consulted when it was populated at the maintainer's previous
+/// refresh serial, that refresh chain is unbroken (last refresh
+/// incremental), and every parameter that shapes an evaluation matches.
+/// Any mismatch resets the cache — correctness never depends on it.
 struct evaluate_cache {
     const xag* net = nullptr;
     uint64_t serial = 0; ///< cut_maintainer::refresh_serial() at population
     uint32_t cut_size = 0;
     uint32_t cut_limit = 0;
     bool allow_zero_gain = false;
-    bool batched = false;
     uint8_t strategy = 0; ///< 0 = mc, 1 = size
     std::vector<eval_winner> winners; ///< cached winner per node id
     std::vector<uint8_t> has_entry;
@@ -256,12 +236,15 @@ public:
     /// Incremental maintenance of cuts() across rounds — tracks one
     /// network at a time and falls back to a full rebuild whenever its
     /// change journal cannot vouch for the arena (different network, pass
-    /// ran untracked, params changed).
+    /// ran untracked, params changed).  invalidate() before a round makes
+    /// that round rebuild every cut set and evaluate every gate: the
+    /// full-rebuild oracle.
     cut_maintainer& cut_maintenance() { return cut_maint_; }
     cone_simulator& simulator() { return simulator_; }
 
-    /// Persistent evaluation cache for the incremental-evaluate path; the
-    /// round engine owns its coherence protocol (see evaluate_cache).
+    /// Persistent evaluation cache of the round engine, which owns its
+    /// coherence protocol (see evaluate_cache).  reset() before a round
+    /// makes that round evaluate every gate: the full-evaluate oracle.
     evaluate_cache& eval_cache() { return eval_cache_; }
 
     /// Persistent warm SAT solver for commit-time cone verification

@@ -236,17 +236,13 @@ xor_resynthesis_stats xor_resynthesis(xag& network,
     };
     std::vector<planned_pair> plan;
 
-    // Wide rows take part in pair extraction too (the old code emitted
-    // everything above 16 terms as a plain chain).  Pair seeding is
+    // Rows of any width take part in pair extraction.  Pair seeding is
     // quadratic per row, so admission is narrowest-first under a Σwidth²
-    // work budget (plus an optional hard cap): every row of rewrite-scale
-    // circuits qualifies, while the widest accumulator rows of full-hash
-    // linear systems — whose unbounded seeding would be ~10¹⁰ operations
-    // on MD5 — keep their existing trees.  Admission depends only on the
-    // multiset of row widths, so the result is deterministic.
-    const size_t max_pairing_width = params.max_pairing_width == 0
-                                         ? SIZE_MAX
-                                         : params.max_pairing_width;
+    // work budget: every row of rewrite-scale circuits qualifies, while
+    // the widest accumulator rows of full-hash linear systems — whose
+    // unbounded seeding would be ~10¹⁰ operations on MD5 — keep their
+    // existing trees.  Admission depends only on the multiset of row
+    // widths, so the result is deterministic.
 
     const uint32_t seed_workers =
         params.pool != nullptr ? params.pool->num_workers() : 1;
@@ -269,8 +265,6 @@ xor_resynthesis_stats xor_resynthesis(xag& network,
         uint64_t work = 0;
         for (const auto r : by_width) {
             const auto w = static_cast<uint64_t>(rows[r].terms.size());
-            if (w > max_pairing_width)
-                break; // sorted: every later row is at least as wide
             // The budget does not scale with the team, so the admission
             // set — and the output — is the same at any worker count.
             if (params.pairing_work_budget != 0 &&

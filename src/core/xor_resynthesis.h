@@ -21,10 +21,6 @@ namespace mcx {
 class thread_pool;
 
 struct xor_resynthesis_params {
-    /// Hard width cap: rows wider than this never take part in pair
-    /// extraction (0, the default, disables the cap — the pre-PR-4
-    /// behavior was a fixed cap of 16).
-    uint32_t max_pairing_width = 0;
     /// Seeding-work budget: rows join the pairing narrowest-first while
     /// the cumulative sum of width² stays under this bound (pair seeding
     /// is quadratic per row, and extraction cost tracks the same sum).

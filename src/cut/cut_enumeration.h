@@ -21,7 +21,9 @@
 // function of (node, fanins' finished cut sets, params) — so the same
 // kernel serves the classic bottom-up sweep here, and the incremental /
 // level-parallel maintainer in src/cut/cut_incremental.h, which
-// re-enumerates only dirty nodes between rewriting rounds.
+// re-enumerates only dirty nodes between rewriting rounds.  Rewrite
+// rounds always refresh through the maintainer; enumerate_cuts is the
+// one-shot sweep and the full-rebuild reference its tests compare against.
 //
 // Storage is arena-backed (cut_sets, src/cut/cut_arena.h): one flat pool of
 // cuts plus an (offset, count) span per node, instead of a vector of
@@ -46,13 +48,6 @@ struct cut_enumeration_params {
     /// kept for A/B measurement and differential tests; both produce
     /// identical cut sets.
     bool word_parallel = true;
-    /// Maintain cut sets incrementally across rewriting rounds (the cut
-    /// maintainer re-enumerates only the dirty region; see
-    /// src/cut/cut_incremental.h).  `false` forces a full re-enumeration
-    /// every round — the differential oracle; both modes produce identical
-    /// cut sets and identical optimized networks.  enumerate_cuts itself
-    /// always rebuilds fully; this knob is consumed by the maintainer.
-    bool incremental = true;
 };
 
 struct cut_enumeration_stats {

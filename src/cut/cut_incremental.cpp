@@ -66,16 +66,6 @@ bool cut_maintainer::refresh(xag& net, cut_sets& sets,
         throw std::invalid_argument{
             "cut_maintainer: cut_limit must be >= 1"};
 
-    if (!params.incremental) {
-        // Oracle mode: the untouched sequential full enumeration, no
-        // journal overhead on the network.
-        net.disarm_change_log();
-        invalidate();
-        enumerate_cuts(net, sets, params, stats);
-        ++refresh_serial_;
-        return false;
-    }
-
     const bool incremental = can_update(net, sets, params);
     try {
         sweep(net, sets, params, stats, pool, /*full=*/!incremental, token);

@@ -32,10 +32,9 @@
 // sets per node, for any thread count — because the
 // kernel is pure, the recompute predicate is conservative, and equality
 // pruning only skips provably-identical work (see docs/hot-path.md,
-// "Incremental cut maintenance", for the induction).
-// `cut_enumeration_params::incremental = false` keeps the classic full
-// re-enumeration on every refresh: the differential oracle for tests and
-// the A/B baseline for the bench.
+// "Incremental cut maintenance", for the induction).  invalidate() makes
+// the next refresh a full rebuild; the classic sequential enumerate_cuts
+// is the oracle the tests compare against.
 #pragma once
 
 #include "core/budget.h"
@@ -54,9 +53,7 @@ public:
     /// Bring `sets` up to date for `net`: an incremental dirty-region
     /// sweep when the journal armed by the previous refresh still covers
     /// everything that happened to this network (and the params match), a
-    /// full rebuild otherwise.  With `params.incremental == false` this
-    /// delegates to the classic sequential enumerate_cuts (the oracle) and
-    /// disarms tracking.  `pool` (optional) parallelizes the sweep
+    /// full rebuild otherwise.  `pool` (optional) parallelizes the sweep
     /// level-by-level; results are identical with or without it.  Returns
     /// true when the refresh was incremental.
     ///
@@ -70,7 +67,8 @@ public:
                  thread_pool* pool = nullptr,
                  const cancellation_token& token = {});
 
-    /// Forget the tracked network: the next refresh is a full rebuild.
+    /// Forget the tracked network: the next refresh is a full rebuild,
+    /// byte-identical to enumerate_cuts, counters included.
     void invalidate();
 
     // ---- evaluate dirty set (consumed by the rewrite engines) ----------

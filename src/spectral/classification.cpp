@@ -825,30 +825,31 @@ classification_result classify_trivial(const truth_table& f)
     return result;
 }
 
-} // namespace
-
-classification_result classify_affine(const truth_table& f,
-                                      const classification_params& params)
+template <typename Search>
+classification_result classify_with(const truth_table& f,
+                                    const classification_params& params)
 {
     if (f.num_vars() > 6)
         throw std::invalid_argument{"classify_affine: at most 6 variables"};
     if (f.num_vars() == 0)
         return classify_trivial(f);
-    if (!params.word_parallel) {
-        canonizer search{f, params};
-        return search.run(f);
-    }
-    word_canonizer search{f, params};
+    Search search{f, params};
     return search.run(f);
+}
+
+} // namespace
+
+classification_result classify_affine(const truth_table& f,
+                                      const classification_params& params)
+{
+    return classify_with<word_canonizer>(f, params);
 }
 
 classification_result
 classify_affine_baseline(const truth_table& f,
                          const classification_params& params)
 {
-    auto scalar = params;
-    scalar.word_parallel = false;
-    return classify_affine(f, scalar);
+    return classify_with<canonizer>(f, params);
 }
 
 const classification_result& classification_cache::classify(

@@ -59,13 +59,6 @@ struct affine_transform {
 
 struct classification_params {
     uint64_t iteration_limit = 100'000; ///< candidate evaluations (paper §5)
-    /// Run the packed-spectrum engine (src/tt/spectrum_words.h): identical
-    /// search tree, candidate order, and iteration accounting as the scalar
-    /// baseline, but candidate blocks are built, signed, and compared a
-    /// word at a time.  false selects classify_affine_baseline — the A/B
-    /// switch used by bench_micro_core and by the exhaustive agreement
-    /// tests.
-    bool word_parallel = true;
 };
 
 struct classification_result {
@@ -75,7 +68,10 @@ struct classification_result {
     uint64_t iterations = 0; ///< candidate evaluations spent
 };
 
-/// Canonize `f` (up to 6 variables).  On success the result satisfies
+/// Canonize `f` (up to 6 variables) with the packed-spectrum engine
+/// (src/tt/spectrum_words.h): the baseline's search tree, candidate order
+/// and iteration accounting, but candidate blocks are built, signed and
+/// compared a word at a time.  On success the result satisfies
 /// `transform.apply(representative) == f` — callers re-verify this cheap
 /// identity before rewriting, making the optimizer sound by construction.
 classification_result classify_affine(const truth_table& f,

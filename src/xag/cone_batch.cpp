@@ -14,6 +14,8 @@ void cone_simulator::ensure_size(size_t num_nodes)
         leaf_epoch_.resize(num_nodes, 0);
         leaf_mask_.resize(num_nodes, 0);
         visit_epoch_.resize(num_nodes, 0);
+        live_epoch_.resize(num_nodes, 0);
+        live_.resize(num_nodes, 0);
         slot_.resize(num_nodes, 0);
     }
 }
@@ -29,9 +31,10 @@ uint32_t cone_simulator::run_chunk(const xag& net, uint32_t root,
     if (epoch_ == UINT32_MAX) { // stamp wrap: invalidate everything once
         std::fill(leaf_epoch_.begin(), leaf_epoch_.end(), 0u);
         std::fill(visit_epoch_.begin(), visit_epoch_.end(), 0u);
+        std::fill(live_epoch_.begin(), live_epoch_.end(), 0u);
         epoch_ = 0;
     }
-    ++epoch_; // one epoch serves both leaf stamps and visit stamps
+    ++epoch_; // one epoch serves the leaf, live and visit stamps
     ++traversals_;
 
     // Stamp leaf membership: leaf_mask_[l] = lanes where l is a leaf.
@@ -50,10 +53,38 @@ uint32_t cone_simulator::run_chunk(const xag& net, uint32_t root,
         return leaf_epoch_[n] == epoch_ ? leaf_mask_[n] : 0;
     };
 
-    // Iterative post-order DFS of the union cone: expand a gate's fanins
-    // unless it is a leaf in every lane.
-    order_.clear();
+    // Mark the nodes some lane needs: live_[n] = lanes whose cone reaches
+    // n.  A gate passes on only the lanes live at it and not cut there, so
+    // every lane stops at its own leaves instead of the union cone running
+    // down to the PIs.  A node is re-expanded only when it gains lanes.
     stack_.clear();
+    stack_.push_back(uint64_t{root} << 32 | full);
+    while (!stack_.empty()) {
+        const auto top = stack_.back();
+        stack_.pop_back();
+        const auto n = static_cast<uint32_t>(top >> 32);
+        if (live_epoch_[n] != epoch_) {
+            live_epoch_[n] = epoch_;
+            live_[n] = 0;
+        }
+        const auto gained = static_cast<uint32_t>(top) & ~live_[n];
+        if (gained == 0)
+            continue;
+        live_[n] |= gained;
+        const auto pass_on = gained & ~leaves_of(n);
+        if (net.is_gate(n) && pass_on != 0) {
+            stack_.push_back(uint64_t{net.fanin0(n).node()} << 32 | pass_on);
+            stack_.push_back(uint64_t{net.fanin1(n).node()} << 32 | pass_on);
+        }
+    }
+    // A gate is computed from its fanins iff some lane live at it is not
+    // cut there; its other lanes are leaf projections or never read.
+    const auto expands = [&](uint32_t n) {
+        return net.is_gate(n) && (live_[n] & ~leaves_of(n)) != 0;
+    };
+
+    // Iterative post-order DFS of the marked subgraph.
+    order_.clear();
     stack_.push_back(uint64_t{root} << 1);
     while (!stack_.empty()) {
         const auto top = stack_.back();
@@ -67,7 +98,7 @@ uint32_t cone_simulator::run_chunk(const xag& net, uint32_t root,
             continue; // already scheduled or emitted
         visit_epoch_[n] = epoch_;
         stack_.push_back(top | 1);
-        if (net.is_gate(n) && leaves_of(n) != full) {
+        if (expands(n)) {
             const auto n0 = net.fanin0(n).node();
             const auto n1 = net.fanin1(n).node();
             if (visit_epoch_[n0] != epoch_)
@@ -87,7 +118,7 @@ uint32_t cone_simulator::run_chunk(const xag& net, uint32_t root,
         auto* v = lanes_.data() + static_cast<size_t>(s) * C;
         const auto lm = leaves_of(n);
         uint32_t failed;
-        if (net.is_gate(n) && lm != full) {
+        if (expands(n)) {
             const auto f0 = net.fanin0(n);
             const auto f1 = net.fanin1(n);
             const auto* a = lanes_.data() +
@@ -108,9 +139,9 @@ uint32_t cone_simulator::run_chunk(const xag& net, uint32_t root,
             std::fill(v, v + C, uint64_t{0});
             failed = 0;
         } else {
-            // PI, or a gate that is a leaf in every lane: no intrinsic
-            // value.  A PI read by a lane it does not serve as a leaf makes
-            // that lane escape its boundary.
+            // PI, or a gate every live lane cuts: no intrinsic value.  A
+            // PI read by a lane it does not serve as a leaf makes that lane
+            // escape its boundary.
             std::fill(v, v + C, uint64_t{0});
             failed = net.is_gate(n) ? 0 : full;
         }

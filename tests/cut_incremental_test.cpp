@@ -1,10 +1,10 @@
 // Incremental cut maintenance (src/cut/cut_incremental.h): the maintainer
 // must be an invisible optimization — byte-identical cut sets to a full
 // re-enumeration after arbitrary network surgery, clean nodes provably
-// untouched (arena generation tags), and flow outputs byte-identical
-// between incremental and full-rebuild modes at every thread count.  The
-// scalar seed path rides along as a second oracle: its cut sets AND its
-// stat counters must match the word-parallel path 1:1.
+// untouched (arena generation tags), and flow outputs byte-identical to
+// the full-rebuild oracle flow (tests/oracle_pass.h) at every thread
+// count.  The scalar seed path rides along as a second oracle: its cut
+// sets AND its stat counters must match the word-parallel path 1:1.
 #include "core/fault_inject.h"
 #include "core/flow.h"
 #include "cut/cut_incremental.h"
@@ -14,6 +14,7 @@
 #include "gen/des.h"
 #include "gen/lightweight.h"
 #include "io/bench.h"
+#include "oracle_pass.h"
 #include "xag/cleanup.h"
 #include "xag/verify.h"
 
@@ -334,18 +335,6 @@ TEST(cut_maintainer, stopped_token_invalidates_half_done_refresh)
     expect_identical_cut_sets(sets, enumerate_cuts(net), "after cancel");
 }
 
-TEST(cut_maintainer, oracle_mode_always_full)
-{
-    auto net = random_network(31);
-    cut_maintainer maint;
-    cut_sets sets;
-    cut_enumeration_stats stats;
-    EXPECT_FALSE(maint.refresh(net, sets, {.incremental = false}, &stats));
-    EXPECT_FALSE(net.changes().armed);
-    EXPECT_FALSE(maint.refresh(net, sets, {.incremental = false}, &stats));
-    EXPECT_EQ(stats.clean_nodes, 0u);
-}
-
 // -------------------------------- randomized differential fuzz (tentpole)
 
 /// Maintained sets after random surgery must equal BOTH full oracles —
@@ -395,17 +384,20 @@ TEST(incremental_differential, randomized_surgery_fuzz)
 
 // --------------------------- flow-level differential (generator families)
 
-/// Optimize through a flow and return (serialized network, replacements).
+/// Optimize through a flow — the production one, or the full-rebuild
+/// oracle flow — and return (serialized network, replacements).
 std::pair<std::string, uint64_t> optimize(xag net, uint32_t threads,
                                           bool incremental,
                                           flow_params params = {},
                                           const char* spec = "mc")
 {
     params.num_threads = threads;
-    params.rewrite.incremental_cuts = incremental;
-    params.size_rewrite.incremental_cuts = incremental;
     pass_context ctx{context_params(params)};
-    const auto result = run_flow(net, make_flow(spec, params), ctx);
+    const auto f =
+        incremental ? make_flow(spec, params)
+                    : test::make_oracle_flow(spec, params,
+                                             test::oracle::full_rebuild);
+    const auto result = run_flow(net, f, ctx);
     uint64_t replacements = 0;
     for (const auto& p : result.passes)
         for (const auto& r : p.rounds)
@@ -535,7 +527,7 @@ TEST(incremental_differential, incremental_actually_skips_work)
     // re-enumerates *zero* nodes — the steady-state payoff.
     auto net = gen_adder(64);
     pass_context ctx;
-    rewrite_params params; // incremental_cuts defaults on
+    rewrite_params params;
     const auto r1 = mc_rewrite_round(net, ctx, params);
     ASSERT_GT(r1.replacements, 0u);
     EXPECT_EQ(r1.cut_stats.clean_nodes, 0u); // first refresh is full

@@ -13,6 +13,7 @@
 #include "gen/control.h"
 #include "gen/lightweight.h"
 #include "io/bench.h"
+#include "oracle_pass.h"
 #include "xag/cleanup.h"
 #include "xag/verify.h"
 
@@ -33,17 +34,21 @@ std::string serialize(const xag& n)
     return os.str();
 }
 
-/// Optimize through a flow and return (serialized network, replacements).
+/// Optimize through a flow — the production one, or the full-evaluate
+/// oracle flow — and return (serialized network, replacements).
 std::pair<std::string, uint64_t> optimize(xag net, uint32_t threads,
                                           bool incremental_eval,
                                           flow_params params = {},
                                           const char* spec = "mc")
 {
     params.num_threads = threads;
-    params.rewrite.incremental_evaluate = incremental_eval;
-    params.size_rewrite.incremental_evaluate = incremental_eval;
     pass_context ctx{context_params(params)};
-    const auto result = run_flow(net, make_flow(spec, params), ctx);
+    const auto f =
+        incremental_eval
+            ? make_flow(spec, params)
+            : test::make_oracle_flow(spec, params,
+                                     test::oracle::full_evaluate);
+    const auto result = run_flow(net, f, ctx);
     uint64_t replacements = 0;
     for (const auto& p : result.passes)
         for (const auto& r : p.rounds)
@@ -222,11 +227,8 @@ TEST(evaluate_differential, randomized_surgery_fuzz)
     std::mt19937_64 rng{2026};
     for (const uint32_t threads : {1u, 2u, 8u}) {
         for (int trial = 0; trial < 4; ++trial) {
-            rewrite_params p_inc;
-            p_inc.num_threads = threads;
-            rewrite_params p_full;
-            p_full.num_threads = threads;
-            p_full.incremental_evaluate = false;
+            rewrite_params p;
+            p.num_threads = threads;
             pass_context ctx_inc, ctx_full;
             auto net_inc =
                 random_network(5000 + trial, 6 + trial % 5, 90, 5);
@@ -239,8 +241,9 @@ TEST(evaluate_differential, randomized_surgery_fuzz)
                 ASSERT_EQ(serialize(net_inc), serialize(net_full))
                     << "surgery diverged: threads " << threads << " trial "
                     << trial << " round " << round;
-                const auto si = mc_rewrite_round(net_inc, ctx_inc, p_inc);
-                const auto sf = mc_rewrite_round(net_full, ctx_full, p_full);
+                const auto si = mc_rewrite_round(net_inc, ctx_inc, p);
+                test::defeat_reuse(ctx_full, test::oracle::full_evaluate);
+                const auto sf = mc_rewrite_round(net_full, ctx_full, p);
                 ASSERT_EQ(serialize(net_inc), serialize(net_full))
                     << "threads " << threads << " trial " << trial
                     << " round " << round;
@@ -285,12 +288,11 @@ TEST(evaluate_cache, steady_state_evaluates_nothing)
 
 TEST(evaluate_cache, full_mode_reports_no_clean_nodes)
 {
-    rewrite_params p;
-    p.incremental_evaluate = false;
     pass_context ctx;
     auto net = gen_adder(32);
     for (int r = 0; r < 3; ++r) {
-        const auto stats = mc_rewrite_round(net, ctx, p);
+        test::defeat_reuse(ctx, test::oracle::full_evaluate);
+        const auto stats = mc_rewrite_round(net, ctx, {});
         EXPECT_EQ(stats.nodes_clean, 0u) << "round " << r;
         EXPECT_GT(stats.nodes_evaluated, 0u) << "round " << r;
     }

@@ -11,7 +11,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
+#include <set>
 
 namespace mcx {
 namespace {
@@ -94,12 +96,11 @@ TEST(round_stats_audit, per_round_counters_are_independent)
     // deltas must not include round one's).
     auto net = gen_adder(24);
     pass_context ctx;
-    // Full re-enumeration every round (the oracle path): with incremental
+    // Full re-enumeration every round (the oracle): with incremental
     // maintenance round 2 legitimately does *less* enumeration work, so
     // counter equality against a fresh measurement only holds here.
-    rewrite_params params;
-    params.incremental_cuts = false;
-    const auto r1 = mc_rewrite_round(net, ctx, params);
+    ctx.cut_maintenance().invalidate();
+    const auto r1 = mc_rewrite_round(net, ctx);
 
     // Independent enumeration of the network exactly as round 2 will see
     // it: round 2's counters must equal this fresh measurement, which is
@@ -107,7 +108,8 @@ TEST(round_stats_audit, per_round_counters_are_independent)
     cut_enumeration_stats fresh;
     enumerate_cuts(net, {}, &fresh);
 
-    const auto r2 = mc_rewrite_round(net, ctx, params);
+    ctx.cut_maintenance().invalidate();
+    const auto r2 = mc_rewrite_round(net, ctx);
 
     // Round 2 starts from round 1's result.
     EXPECT_EQ(r2.ands_before, r1.ands_after);
@@ -181,30 +183,75 @@ TEST(cone_simulator, flags_cone_escape_and_forbidden_nodes)
                                ab.node()));
 }
 
-TEST(cone_simulator, batched_and_unbatched_rewrites_agree)
+/// Nodes of the cone of `root` over `leaves`, leaves included.
+size_t cone_size(const xag& net, uint32_t root,
+                 const std::vector<uint32_t>& leaves)
 {
-    for (const uint64_t seed : {31u, 32u}) {
-        const auto source = random_network(seed, 9, 150, 6);
-        auto batched_net = cleanup(source); // two structurally identical
-        auto legacy_net = cleanup(source);  // copies of the same network
-        const auto golden = cleanup(source);
-
-        pass_context ctx1, ctx2;
-        rewrite_params batched;
-        batched.batched_simulation = true;
-        rewrite_params legacy;
-        legacy.batched_simulation = false;
-        const auto rb = mc_rewrite_round(batched_net, ctx1, batched);
-        const auto rl = mc_rewrite_round(legacy_net, ctx2, legacy);
-
-        EXPECT_TRUE(exhaustive_equal(cleanup(batched_net), golden));
-        EXPECT_TRUE(exhaustive_equal(cleanup(legacy_net), golden));
-        // Identical inputs and identical candidate evaluation order: the
-        // batched path must replicate the per-cut path exactly.
-        EXPECT_EQ(rb.ands_after, rl.ands_after) << "seed " << seed;
-        EXPECT_EQ(rb.replacements, rl.replacements) << "seed " << seed;
-        EXPECT_EQ(rb.cuts_evaluated, rl.cuts_evaluated) << "seed " << seed;
+    std::set<uint32_t> seen;
+    std::vector<uint32_t> stack{root};
+    while (!stack.empty()) {
+        const auto n = stack.back();
+        stack.pop_back();
+        if (!seen.insert(n).second)
+            continue;
+        if (net.is_gate(n) &&
+            std::find(leaves.begin(), leaves.end(), n) == leaves.end()) {
+            stack.push_back(net.fanin0(n).node());
+            stack.push_back(net.fanin1(n).node());
+        }
     }
+    return seen.size();
+}
+
+TEST(cone_simulator, deep_chain_visits_only_the_cut_cones)
+{
+    // g[i] = g[i-1] op x[i], alternating AND/XOR, 256 gates deep.  Cuts
+    // near the top must not drag the traversal down the chain to the PIs.
+    constexpr int depth = 256;
+    xag net;
+    std::vector<signal> x;
+    for (int i = 0; i <= depth; ++i)
+        x.push_back(net.create_pi());
+    std::vector<uint32_t> g{x[0].node()};
+    for (int i = 1; i <= depth; ++i) {
+        const signal prev{g.back(), false};
+        g.push_back((i % 2 ? net.create_and(prev, x[i])
+                           : net.create_xor(prev, x[i] ^ true))
+                        .node());
+    }
+    net.create_po(signal{g.back(), false});
+    const auto root = g[depth];
+    const auto cut = [&](int gate, int first_pi) {
+        cone_simulator::leaf_set leaves{g[gate]};
+        for (int i = first_pi; i <= depth; ++i)
+            leaves.push_back(x[i].node());
+        std::sort(leaves.begin(), leaves.end());
+        return leaves;
+    };
+
+    cone_simulator sim;
+    const std::vector<cone_simulator::leaf_set> cuts{
+        cut(depth - 1, depth), cut(depth - 2, depth - 1),
+        cut(depth - 3, depth - 2)};
+    std::vector<uint64_t> words;
+    const auto before = sim.nodes_evaluated();
+    EXPECT_EQ(sim.simulate_cuts(net, root, cuts, words), 0b111u);
+    size_t cone_sum = 0;
+    for (size_t j = 0; j < cuts.size(); ++j) {
+        cone_sum += cone_size(net, root, cuts[j]);
+        EXPECT_EQ(words[j], cone_function(net, root, cuts[j]).word())
+            << "cut " << j;
+    }
+    EXPECT_LE(sim.nodes_evaluated() - before, cone_sum);
+
+    // Lane 0 escapes to the PI x[depth]; lane 1's cone contains the
+    // forbidden g[depth - 2]; lane 2 has it below its leaf g[depth - 1].
+    const std::vector<cone_simulator::leaf_set> checks{
+        {g[depth - 1]}, cut(depth - 3, depth - 2), cut(depth - 1, depth)};
+    const auto valid =
+        sim.simulate_cuts(net, root, checks, words, g[depth - 2]);
+    EXPECT_EQ(valid, 0b100u);
+    EXPECT_EQ(words[2], cone_function(net, root, checks[2]).word());
 }
 
 // ------------------------------------------------------- passes and flows

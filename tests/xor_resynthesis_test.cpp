@@ -174,24 +174,19 @@ TEST(xor_resynthesis_pass, pairs_rows_beyond_the_old_16_term_cap)
     EXPECT_TRUE(exhaustive_equal(cleanup(net), golden));
 }
 
-TEST(xor_resynthesis_pass, width_cap_and_budget_still_skip_rows)
+TEST(xor_resynthesis_pass, starved_budget_skips_rows)
 {
-    // The same network under the legacy cap pairs nothing (every row is
-    // wider than 16) but must stay correct and non-increasing.
+    // A starved work budget admits no row; the pass must still leave the
+    // network correct and no larger.
     auto net = wide_row_network(24, 4);
     const auto golden = cleanup(net);
     const auto before = net.num_xors();
-    const auto stats = xor_resynthesis(net, {.max_pairing_width = 16});
+    const auto stats = xor_resynthesis(net, {.pairing_work_budget = 1});
     net.check_integrity();
     EXPECT_EQ(stats.rows_paired, 0u);
     EXPECT_EQ(stats.pairs_extracted, 0u);
     EXPECT_LE(net.num_xors(), before);
     EXPECT_TRUE(exhaustive_equal(cleanup(net), golden));
-
-    // A starved work budget admits only the narrowest rows.
-    auto net2 = wide_row_network(24, 4);
-    const auto stats2 = xor_resynthesis(net2, {.pairing_work_budget = 1});
-    EXPECT_EQ(stats2.rows_paired, 0u);
 }
 
 TEST(xor_resynthesis_pass, pool_seeding_is_deterministic)
@@ -200,9 +195,9 @@ TEST(xor_resynthesis_pass, pool_seeding_is_deterministic)
     // set pinned (unlimited budget ⇒ every row admitted at any worker
     // count) the extracted pairs — and therefore the rebuilt network —
     // must be byte-identical to the sequential pass.  Workloads are kept
-    // small enough that unlimited admission stays cheap: wide rows past
-    // the legacy cap, an adder's xor-heavy carry interface, and simon's
-    // round structure.
+    // small enough that unlimited admission stays cheap: 20- and 24-term
+    // rows, an adder's xor-heavy carry interface, and simon's round
+    // structure.
     const auto serialize = [](const xag& n) {
         std::ostringstream os;
         write_bench(cleanup(n), os);
