@@ -3,7 +3,8 @@
 // Self-contained chrono harness (no external benchmark dependency) that
 // measures each stage in ns/op, A/B-compares the word-parallel fast paths
 // against the retained seed implementations (npn_canonize_baseline, the
-// scalar cut-merge path), reports cache hit rates from a real rewriting
+// scalar cut enumerator and the legacy SAT solver from tests/oracle/),
+// reports cache hit rates from a real rewriting
 // round, and emits everything machine-readable to BENCH_micro_core.json
 // (override the path with MCX_BENCH_JSON).
 //
@@ -19,12 +20,15 @@
 #include "sat/equivalence.h"
 #include "sat/solver.h"
 #include "exact/exact_mc.h"
+#include "exact/exact_mc_search.h"
 #include "gen/arithmetic.h"
 #include "gen/des.h"
 #include "io/bench.h"
 #include "npn/npn.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "oracle/cut_enumeration_scalar.h"
+#include "oracle/legacy_solver.h"
 #include "spectral/classification.h"
 #include "tt/operations.h"
 #include "xag/cleanup.h"
@@ -151,14 +155,11 @@ int main()
     const double cut_fast_ns =
         run_bench("cut/enumerate_word_parallel", 1, [&] {
             cut_enumeration_stats s;
-            g_sink += enumerate_cuts(mult, {.word_parallel = true}, &s)
-                          .back()
-                          .size();
+            g_sink += enumerate_cuts(mult, {}, &s).back().size();
         });
     const double cut_scalar_ns = run_bench("cut/enumerate_scalar", 1, [&] {
         cut_enumeration_stats s;
-        g_sink +=
-            enumerate_cuts(mult, {.word_parallel = false}, &s).back().size();
+        g_sink += oracle::enumerate_cuts_scalar(mult, {}, &s).back().size();
     });
     const double cut_speedup = cut_scalar_ns / cut_fast_ns;
     std::printf("%-34s %12.1f x\n", "cut/speedup", cut_speedup);
@@ -219,22 +220,25 @@ int main()
         g_sink += exact_mc_synthesis(truth_table{3, 0xe8}).num_ands;
     });
 
-    // ------------------------------------ SAT core, modern vs legacy (A/B)
-    // Seeded hard instances solved on both CDCL engines: a pigeonhole
+    // ------------------------------- SAT core, solver vs legacy oracle (A/B)
+    // Seeded hard instances solved on both CDCL solvers: a pigeonhole
     // formula (9 pigeons, 8 holes — a classic resolution-hard UNSAT) as
     // raw clauses, plus a full exact-MC synthesis of a 5-input function
     // whose optimality ladder emits the solver's real workload (UNSAT
-    // proofs at infeasible k).  The modern core (arena storage, LBD-tiered
+    // proofs at infeasible k).  sat::solver (arena storage, LBD-tiered
     // retention, EMA restarts, bounded preprocessing) must clear the
-    // batch >= 2x faster than the retained legacy oracle; CI gates on the
-    // aggregate so no single instance's variance decides the verdict.
+    // batch >= 2x faster than the legacy oracle (tests/oracle/); CI gates
+    // on the aggregate so no single instance's variance decides the
+    // verdict.  The JSON keeps the "modern"/"legacy" key names.
+    const auto legacy_mc = [](const truth_table& f) {
+        return detail::exact_mc_search(
+            f, {}, [] { return oracle::legacy_solver{}; });
+    };
     double satcore_modern_s = 1e300, satcore_legacy_s = 1e300;
     {
         using clock = std::chrono::steady_clock;
-        const auto solve_php9 = [](sat::sat_engine engine) {
+        const auto solve_php9 = [](auto s) {
             constexpr int pigeons = 9, holes = 8;
-            sat::solver s{
-                sat::sat_params{.engine = engine, .preprocess = true}};
             std::vector<std::vector<sat::literal>> var(pigeons);
             for (int p = 0; p < pigeons; ++p)
                 for (int h = 0; h < holes; ++h)
@@ -250,40 +254,39 @@ int main()
         // MC-4 under the exact encoding: k = 0..3 are hard UNSAT rounds.
         const truth_table hard5{5, 0x206967ce};
         for (int sample = 0; sample < 2; ++sample) {
-            for (const auto engine :
-                 {sat::sat_engine::modern, sat::sat_engine::legacy}) {
+            for (const bool legacy : {false, true}) {
                 const auto start = clock::now();
-                const bool unsat = solve_php9(engine);
+                const bool unsat =
+                    legacy ? solve_php9(oracle::legacy_solver{})
+                           : solve_php9(sat::solver{{.preprocess = true}});
                 const auto r =
-                    exact_mc_synthesis(hard5, {.engine = engine});
+                    legacy ? legacy_mc(hard5) : exact_mc_synthesis(hard5);
                 const double s =
                     std::chrono::duration<double>(clock::now() - start)
                         .count();
                 if (!unsat || r.num_ands != 4) {
                     std::fprintf(stderr,
-                                 "FAIL: %s engine broke a sat_core verdict "
+                                 "FAIL: %s solver broke a sat_core verdict "
                                  "(php9 unsat %d, mc %u != 4)\n",
-                                 sat::engine_name(engine), unsat ? 1 : 0,
-                                 r.num_ands);
+                                 legacy ? "legacy" : "production",
+                                 unsat ? 1 : 0, r.num_ands);
                     return 1;
                 }
-                auto& best = engine == sat::sat_engine::modern
-                                 ? satcore_modern_s
-                                 : satcore_legacy_s;
+                auto& best = legacy ? satcore_legacy_s : satcore_modern_s;
                 best = std::min(best, s);
             }
         }
     }
     const double satcore_speedup = satcore_legacy_s / satcore_modern_s;
     std::printf("\nsat core (php9 + exact-MC 5-input encoding):\n");
-    std::printf("  modern engine             %8.4f s\n", satcore_modern_s);
-    std::printf("  legacy engine             %8.4f s\n", satcore_legacy_s);
+    std::printf("  sat::solver               %8.4f s\n", satcore_modern_s);
+    std::printf("  legacy oracle             %8.4f s\n", satcore_legacy_s);
     std::printf("%-34s %12.2f x\n", "sat_core/speedup", satcore_speedup);
 
     // ------------------------------------- harder exact synthesis (gated)
     // A 5-input database miss — the workload the sharded-store and the
     // ROADMAP's offline 4/5-input precompute pay for.  Timed on both
-    // engines; the modern core must be >= 2x faster here too (this
+    // solvers; sat::solver must be >= 2x faster here too (this
     // function's ladder is short but its UNSAT rounds are dense, a
     // different profile from the sat_core batch).
     double exact5_modern_s = 1e300, exact5_legacy_s = 1e300;
@@ -291,31 +294,30 @@ int main()
         using clock = std::chrono::steady_clock;
         const truth_table miss5{5, 0xd9ff7cf6};
         for (int sample = 0; sample < 3; ++sample) {
-            for (const auto engine :
-                 {sat::sat_engine::modern, sat::sat_engine::legacy}) {
+            for (const bool legacy : {false, true}) {
                 const auto start = clock::now();
-                const auto r = exact_mc_synthesis(miss5, {.engine = engine});
+                const auto r =
+                    legacy ? legacy_mc(miss5) : exact_mc_synthesis(miss5);
                 const double s =
                     std::chrono::duration<double>(clock::now() - start)
                         .count();
                 if (r.num_ands != 3) {
                     std::fprintf(stderr,
-                                 "FAIL: %s engine found mc %u != 3 on the "
+                                 "FAIL: %s solver found mc %u != 3 on the "
                                  "5-input miss\n",
-                                 sat::engine_name(engine), r.num_ands);
+                                 legacy ? "legacy" : "production",
+                                 r.num_ands);
                     return 1;
                 }
-                auto& best = engine == sat::sat_engine::modern
-                                 ? exact5_modern_s
-                                 : exact5_legacy_s;
+                auto& best = legacy ? exact5_legacy_s : exact5_modern_s;
                 best = std::min(best, s);
             }
         }
     }
     const double exact5_speedup = exact5_legacy_s / exact5_modern_s;
     std::printf("\nexact synthesis, 5-input miss (0xd9ff7cf6):\n");
-    std::printf("  modern engine             %8.4f s\n", exact5_modern_s);
-    std::printf("  legacy engine             %8.4f s\n", exact5_legacy_s);
+    std::printf("  sat::solver               %8.4f s\n", exact5_modern_s);
+    std::printf("  legacy oracle             %8.4f s\n", exact5_legacy_s);
     std::printf("%-34s %12.2f x\n", "exact_hard5/speedup", exact5_speedup);
 
     // ------------------------------------- full round with stage breakdown

@@ -20,6 +20,12 @@ cd "$(dirname "$0")"
 
 cmake -B build -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build build -j"$(nproc)"
+# The test-only references (tests/oracle/, the mcx_oracle target) must not
+# slip back into the production library.
+if nm -C build/libmcx.a | grep -E 'legacy_solver|enumerate_cuts_scalar'; then
+    echo "ci.sh: libmcx.a contains a test-only oracle symbol" >&2
+    exit 1
+fi
 (cd build && ctest --output-on-failure -j"$(nproc)")
 
 # The committed BENCH_micro_core.json is reference data; regenerating it
@@ -52,7 +58,7 @@ grep -q '"sat_conflicts"' FLOW_smoke_sat.json || {
 }
 
 # The cold whole-network miter — the verify path that exercises the
-# modern SAT core's preprocessor (docs/sat.md) — must be byte-invisible
+# SAT solver's preprocessor (docs/sat.md) — must be byte-invisible
 # next to the default simulation check.
 ./build/tools/mcx --flow mc+xor --verify sat-cold gen:adder:16 \
     -o build/adder16_satcold.bench
@@ -300,8 +306,9 @@ cmake --build build-tsan -j"$(nproc)" --target par_test pass_test \
 # Address+UB sanitizer job over the SAT core: the arena with its
 # relocation GC, the binary-watcher encoding, and the preprocessor's
 # clause surgery are exactly the kind of raw-index pointer arithmetic
-# ASan exists for.  The full sat_test suite — both engines, the
-# differential fuzz, preprocessing units — runs under ASan+UBSan.
+# ASan exists for.  The full sat_test suite — the solver, its
+# differential fuzz against the legacy oracle, preprocessing units — runs
+# under ASan+UBSan.
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=undefined" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"

@@ -83,45 +83,6 @@ uint64_t expand_word(uint64_t f, uint32_t child_vars,
     return f;
 }
 
-/// Seed-faithful scalar expansion (position search + per-minterm loop),
-/// retained behind `word_parallel = false` for differential tests and the
-/// bench/micro_core speedup measurement.
-uint64_t expand_function_scalar(uint64_t f, const cut& child, const cut& merged)
-{
-    std::array<uint8_t, max_cut_size> position{};
-    for (uint32_t i = 0; i < child.num_leaves; ++i) {
-        const auto it = std::find(merged.leaves.begin(),
-                                  merged.leaves.begin() + merged.num_leaves,
-                                  child.leaves[i]);
-        position[i] =
-            static_cast<uint8_t>(it - merged.leaves.begin());
-    }
-    uint64_t r = 0;
-    const uint32_t bits = 1u << merged.num_leaves;
-    for (uint32_t x = 0; x < bits; ++x) {
-        uint32_t y = 0;
-        for (uint32_t i = 0; i < child.num_leaves; ++i)
-            y |= ((x >> position[i]) & 1u) << i;
-        r |= ((f >> y) & 1u) << x;
-    }
-    return r;
-}
-
-/// Seed-faithful scalar subset test (std::find per leaf), for the legacy
-/// path only.
-bool scalar_dominates(const cut& a, const cut& b)
-{
-    if (a.num_leaves > b.num_leaves)
-        return false;
-    if ((a.signature & b.signature) != a.signature)
-        return false;
-    for (uint32_t i = 0; i < a.num_leaves; ++i)
-        if (std::find(b.leaves.begin(), b.leaves.begin() + b.num_leaves,
-                      a.leaves[i]) == b.leaves.begin() + b.num_leaves)
-            return false;
-    return true;
-}
-
 } // namespace
 
 cut trivial_cut(uint32_t n)
@@ -210,16 +171,10 @@ void enumerate_node_cuts(const xag& network, const cut_sets& sets, uint32_t n,
                 continue;
             merged.signature = ca.signature | cb.signature;
 
-            uint64_t fa, fb;
-            if (params.word_parallel) {
-                fa = expand_word(ca.function, ca.num_leaves, pos_a,
-                                 merged.num_leaves);
-                fb = expand_word(cb.function, cb.num_leaves, pos_b,
-                                 merged.num_leaves);
-            } else {
-                fa = expand_function_scalar(ca.function, ca, merged);
-                fb = expand_function_scalar(cb.function, cb, merged);
-            }
+            uint64_t fa = expand_word(ca.function, ca.num_leaves, pos_a,
+                                      merged.num_leaves);
+            uint64_t fb = expand_word(cb.function, cb.num_leaves, pos_b,
+                                      merged.num_leaves);
             const uint64_t mask = tt_mask(merged.num_leaves);
             if (f0.complemented())
                 fa = ~fa & mask;
@@ -227,88 +182,50 @@ void enumerate_node_cuts(const xag& network, const cut_sets& sets, uint32_t n,
                 fb = ~fb & mask;
             merged.function = network.is_and(n) ? (fa & fb) : (fa ^ fb);
 
-            if (params.word_parallel) {
-                // Duplicate rejection: one 64-bit compare per existing
-                // candidate (the exact walk only runs on a key match) —
-                // repeated leaf sets are the common case, and a
-                // duplicate's domination scan is pure waste.
-                const uint64_t key = cut_key(merged);
-                bool duplicate = false;
-                for (size_t i = 0; i < keys.size(); ++i) {
-                    if (keys[i] == key &&
-                        cut_exact_duplicate(candidates[i], merged)) {
-                        duplicate = true;
-                        break;
-                    }
+            // Duplicate rejection: one 64-bit compare per existing
+            // candidate (the exact walk only runs on a key match) —
+            // repeated leaf sets are the common case, and a duplicate's
+            // domination scan is pure waste.
+            const uint64_t key = cut_key(merged);
+            bool duplicate = false;
+            for (size_t i = 0; i < keys.size(); ++i) {
+                if (keys[i] == key &&
+                    cut_exact_duplicate(candidates[i], merged)) {
+                    duplicate = true;
+                    break;
                 }
-                if (duplicate) {
-                    ++stats.duplicate_cuts;
-                    continue;
-                }
-
-                // Signature-prefiltered domination (cut::dominates).
-                bool drop = false;
-                for (const auto& existing : candidates) {
-                    if (existing.dominates(merged)) {
-                        drop = true;
-                        break;
-                    }
-                }
-                if (drop) {
-                    ++stats.dominated_cuts;
-                    continue;
-                }
-                size_t kept = 0;
-                for (size_t i = 0; i < candidates.size(); ++i) {
-                    if (merged.dominates(candidates[i])) {
-                        ++stats.evicted_cuts;
-                        continue;
-                    }
-                    candidates[kept] = candidates[i];
-                    keys[kept] = keys[i];
-                    ++kept;
-                }
-                candidates.resize(kept);
-                keys.resize(kept);
-                candidates.push_back(merged);
-                keys.push_back(key);
-            } else {
-                // Seed-faithful quadratic scan with std::find subsets —
-                // except that exact duplicates are now classified first,
-                // mirroring the word-parallel path, so the two paths'
-                // duplicate/dominated/evicted counters compare 1:1.  (A
-                // duplicate was previously dropped by the domination scan
-                // below — same cut sets, skewed counters.)
-                bool duplicate = false;
-                for (const auto& existing : candidates) {
-                    if (cut_exact_duplicate(existing, merged)) {
-                        duplicate = true;
-                        break;
-                    }
-                }
-                if (duplicate) {
-                    ++stats.duplicate_cuts;
-                    continue;
-                }
-                bool drop = false;
-                for (auto& existing : candidates) {
-                    if (scalar_dominates(existing, merged)) {
-                        drop = true;
-                        break;
-                    }
-                }
-                if (drop) {
-                    ++stats.dominated_cuts;
-                    continue;
-                }
-                std::erase_if(candidates, [&](const cut& existing) {
-                    if (!scalar_dominates(merged, existing))
-                        return false;
-                    ++stats.evicted_cuts;
-                    return true;
-                });
-                candidates.push_back(merged);
             }
+            if (duplicate) {
+                ++stats.duplicate_cuts;
+                continue;
+            }
+
+            // Signature-prefiltered domination (cut::dominates).
+            bool drop = false;
+            for (const auto& existing : candidates) {
+                if (existing.dominates(merged)) {
+                    drop = true;
+                    break;
+                }
+            }
+            if (drop) {
+                ++stats.dominated_cuts;
+                continue;
+            }
+            size_t kept = 0;
+            for (size_t i = 0; i < candidates.size(); ++i) {
+                if (merged.dominates(candidates[i])) {
+                    ++stats.evicted_cuts;
+                    continue;
+                }
+                candidates[kept] = candidates[i];
+                keys[kept] = keys[i];
+                ++kept;
+            }
+            candidates.resize(kept);
+            keys.resize(kept);
+            candidates.push_back(merged);
+            keys.push_back(key);
         }
     }
 

@@ -13,9 +13,9 @@
 // instead of a loop over 2^k minterms, exact duplicates are rejected through
 // a hash of (leaves, function) before any domination test runs, and the
 // remaining domination tests are prefiltered by the leaf signature.  The
-// original scalar path is retained behind `word_parallel = false` as the
-// reference for equivalence tests and the bench/micro_core speedup
-// measurement.
+// original scalar enumerator is a test-only reference,
+// `oracle::enumerate_cuts_scalar` (tests/oracle/), which the equivalence
+// tests and the bench/micro_core speedup measurement compare against.
 //
 // The per-node merge is factored into `enumerate_node_cuts` — a pure
 // function of (node, fanins' finished cut sets, params) — so the same
@@ -44,18 +44,14 @@ namespace mcx {
 struct cut_enumeration_params {
     uint32_t cut_size = max_cut_size; ///< k (2..6)
     uint32_t cut_limit = 12;          ///< non-trivial cuts kept per node
-    /// Use the word-parallel merge path (default).  The scalar seed path is
-    /// kept for A/B measurement and differential tests; both produce
-    /// identical cut sets.
-    bool word_parallel = true;
 };
 
 struct cut_enumeration_stats {
     uint64_t total_cuts = 0;   ///< cuts stored across all (live gate) nodes
     uint64_t merged_pairs = 0; ///< candidate pairs considered
-    /// Exact duplicates rejected before any domination test: by hash on the
-    /// word-parallel path, by direct comparison on the scalar path.  Both
-    /// paths count the same events, so the counters compare 1:1.
+    /// Exact duplicates rejected before any domination test (hash
+    /// prefilter, then an exact compare).  The scalar reference enumerator
+    /// counts the same events, so the counters compare 1:1.
     uint64_t duplicate_cuts = 0;
     uint64_t dominated_cuts = 0; ///< merged cuts dropped by a dominating cut
     uint64_t evicted_cuts = 0;   ///< existing cuts evicted by a new dominator

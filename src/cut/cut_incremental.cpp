@@ -50,7 +50,6 @@ bool cut_maintainer::can_update(const xag& net, const cut_sets& sets,
            sets.generation() == arena_generation_ &&
            params.cut_size == params_.cut_size &&
            params.cut_limit == params_.cut_limit &&
-           params.word_parallel == params_.word_parallel &&
            sets.size() <= net.size();
 }
 

@@ -95,7 +95,7 @@ const mc_database::entry& mc_database::lookup_or_build(
             bool built = false;
             if (params_.use_exact) {
                 const auto exact = exact_mc_synthesis(
-                    rep, {.max_ands = params_.exact_max_ands,
+                    rep, {.max_ands = exact_max_ands,
                           .conflict_budget = params_.exact_conflict_budget,
                           .token = token});
                 if (exact.success) {

@@ -30,7 +30,6 @@ namespace mcx {
 
 struct mc_database_params {
     bool use_exact = true;              ///< try SAT-based exact synthesis
-    uint32_t exact_max_ands = 6;
     uint64_t exact_conflict_budget = 30'000; ///< per AND-count step
 };
 
@@ -115,6 +114,9 @@ public:
     combined_xag export_combined() const;
 
 private:
+    /// Largest AND count the exact search tries before the heuristic.
+    static constexpr uint32_t exact_max_ands = 6;
+
     mc_database_params params_;
     sharded_store<truth_table, entry, truth_table_hash> entries_;
     std::atomic<uint64_t> exact_entries_{0};

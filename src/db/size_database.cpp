@@ -20,7 +20,7 @@ const size_database::entry& size_database::lookup_or_build(
             synthesized.add();
             entry e;
             const auto exact = exact_size_synthesis(
-                rep, {.max_gates = params_.exact_max_gates,
+                rep, {.max_gates = exact_max_gates,
                       .conflict_budget = params_.exact_conflict_budget,
                       .token = token});
             if (exact.success) {

@@ -15,7 +15,6 @@
 namespace mcx {
 
 struct size_database_params {
-    uint32_t exact_max_gates = 10;
     uint64_t exact_conflict_budget = 30'000;
 };
 
@@ -48,6 +47,9 @@ public:
     uint64_t misses() const { return entries_.misses(); }
 
 private:
+    /// Largest gate count the exact search tries before the heuristic.
+    static constexpr uint32_t exact_max_gates = 10;
+
     size_database_params params_;
     sharded_store<truth_table, entry, truth_table_hash> entries_;
 };

@@ -1,14 +1,17 @@
-// Small CNF gadget builders shared by the exact-synthesis encoders.
+// Small CNF gadget builders shared by the exact-synthesis encoders.  They
+// are generic over the solver type (anything with `add_variable()` and
+// `add_clause({...})`), so an encoder can run on a substitute solver.
 #pragma once
 
-#include "sat/solver.h"
+#include "sat/types.h"
 
 #include <span>
 
 namespace mcx::sat {
 
 /// y = a AND b (3 clauses).
-inline literal add_and_gate(solver& s, literal a, literal b)
+template <class Solver>
+literal add_and_gate(Solver& s, literal a, literal b)
 {
     const literal y{s.add_variable(), false};
     s.add_clause({~y, a});
@@ -18,7 +21,8 @@ inline literal add_and_gate(solver& s, literal a, literal b)
 }
 
 /// y = a XOR b (4 clauses).
-inline literal add_xor_gate(solver& s, literal a, literal b)
+template <class Solver>
+literal add_xor_gate(Solver& s, literal a, literal b)
 {
     const literal y{s.add_variable(), false};
     s.add_clause({~y, a, b});
@@ -29,7 +33,8 @@ inline literal add_xor_gate(solver& s, literal a, literal b)
 }
 
 /// y = parity of `terms` (false for an empty list), via a sequential ladder.
-inline literal add_xor_ladder(solver& s, std::span<const literal> terms)
+template <class Solver>
+literal add_xor_ladder(Solver& s, std::span<const literal> terms)
 {
     if (terms.empty()) {
         const literal zero{s.add_variable(), false};
@@ -43,7 +48,8 @@ inline literal add_xor_ladder(solver& s, std::span<const literal> terms)
 }
 
 /// Pin a literal to a constant.
-inline void force(solver& s, literal l, bool value)
+template <class Solver>
+void force(Solver& s, literal l, bool value)
 {
     s.add_clause({value ? l : ~l});
 }

@@ -9,12 +9,14 @@
 //
 // The decision problem "exists an XAG with k ANDs computing f" is encoded
 // into CNF with selector variables for the affine combinations and
-// per-minterm parity chains, and solved by the in-tree CDCL solver; k is
-// searched upward from the degree lower bound MC(f) >= deg(f) - 1.
+// per-minterm parity chains, and solved by the in-tree CDCL solver
+// (src/sat/solver.h, with preprocessing); k is searched upward from the
+// degree lower bound MC(f) >= deg(f) - 1.  The search itself,
+// `detail::exact_mc_search` (src/exact/exact_mc_search.h), is generic over
+// the solver so tests can run it on a reference solver.
 #pragma once
 
 #include "core/budget.h"
-#include "sat/types.h"
 #include "tt/truth_table.h"
 #include "xag/xag.h"
 
@@ -26,9 +28,6 @@ struct exact_mc_params {
     uint32_t max_ands = 7;           ///< give up beyond this many AND gates
     uint64_t conflict_budget = 200'000; ///< per k-step; 0 = unlimited
     cancellation_token token;        ///< cooperative stop (checked per conflict)
-    /// CDCL engine for the per-k solvers; legacy is the differential
-    /// oracle (sat_test, bench/micro_core).
-    sat::sat_engine engine = sat::sat_engine::modern;
 };
 
 struct exact_mc_result {

@@ -1,6 +1,7 @@
 #include "exact/exact_size.h"
 
 #include "exact/encoding_util.h"
+#include "sat/solver.h"
 #include "tt/operations.h"
 #include "xag/simulate.h"
 

@@ -1,4 +1,4 @@
-// Arena clause storage for the modern CDCL core (src/sat/modern_solver.h).
+// Arena clause storage for the CDCL core (src/sat/solver.h).
 //
 // All long clauses (3+ literals; binaries live directly in the watcher
 // lists) are stored in one contiguous uint32 buffer.  A clause is a 32-bit

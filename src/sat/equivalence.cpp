@@ -14,7 +14,7 @@ equivalence_report check_equivalence(const xag& a, const xag& b,
             "check_equivalence: interface mismatch"};
 
     // A cold miter is built once and solved once: exactly the pattern the
-    // modern core's bounded preprocessor is sound for.  Warm sessions
+    // solver's bounded preprocessor is sound for.  Warm sessions
     // (incremental_cec, cone_verifier below) must NOT enable it — they
     // keep adding clauses and solving under assumptions.
     solver s{sat_params{.preprocess = true}};

@@ -1,4 +1,4 @@
-// Bounded one-shot preprocessing for the modern CDCL core (the
+// Bounded one-shot preprocessing for the CDCL core (the
 // `sat_params::preprocess` contract, see src/sat/types.h): subsumption,
 // self-subsumption (clause strengthening), and bounded variable
 // elimination with model reconstruction.
@@ -11,7 +11,7 @@
 // a satisfiable solve `reconstruct_model()` extends the model over them
 // (MiniSat's extend-model rule), so `model_value` stays valid for every
 // variable the caller ever created.
-#include "sat/modern_solver.h"
+#include "sat/solver.h"
 
 #include <algorithm>
 
@@ -50,7 +50,7 @@ constexpr size_t max_resolvent_len = 16;
 
 } // namespace
 
-void modern_solver::preprocess()
+void solver::preprocess()
 {
     // ---- lift the clause database into scratch form -------------------
     std::vector<literal> units(trail_.begin(), trail_.end());
@@ -346,7 +346,7 @@ void modern_solver::preprocess()
     rebuild_from(std::move(out), final_units);
 }
 
-void modern_solver::rebuild_from(std::vector<std::vector<literal>>&& clauses,
+void solver::rebuild_from(std::vector<std::vector<literal>>&& clauses,
                                  std::span<const literal> units)
 {
     arena_.clear();
@@ -394,7 +394,7 @@ void modern_solver::rebuild_from(std::vector<std::vector<literal>>&& clauses,
         unsat_ = true;
 }
 
-void modern_solver::reconstruct_model()
+void solver::reconstruct_model()
 {
     // Reverse elimination order: a variable eliminated later may appear in
     // the saved clauses of one eliminated earlier, so by the time a record

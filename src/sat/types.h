@@ -1,12 +1,5 @@
-// Shared SAT-layer vocabulary: literals, solve results, per-solver stats,
-// and the engine-selection contract (`sat_engine` / `sat_params`).
-//
-// Two CDCL engines live behind the `sat::solver` facade (src/sat/solver.h):
-// the modern arena-based core (src/sat/modern_solver.h) and the original
-// vector-of-clauses solver retained verbatim as the differential oracle
-// (src/sat/legacy_solver.h).  Consumers pick an engine per solver through
-// `sat_params::engine`; every production consumer uses the modern default,
-// and the differential tests and benches pick legacy explicitly.
+// Shared SAT-layer vocabulary: literals, solve results, per-solver stats
+// and the solver's one construction-time setting (`sat_params`).
 #pragma once
 
 #include <cstdint>
@@ -52,28 +45,16 @@ struct solver_stats {
     uint64_t learnt_removed = 0;
 };
 
-/// Which CDCL core backs a `sat::solver`.
-enum class sat_engine : uint8_t { modern, legacy };
-
-/// Stable name for reports ("modern" / "legacy").
-const char* engine_name(sat_engine engine);
-
-/// Restart schedule of the modern core (legacy always uses Luby).
-enum class restart_policy : uint8_t { ema, luby };
-
 /// Per-solver configuration, fixed at construction.
 ///
-/// `preprocess` enables the modern core's bounded one-shot preprocessor
-/// (subsumption + self-subsumption + bounded variable elimination with
-/// model reconstruction).  It is only sound for the build-once/solve
-/// pattern — exact-synthesis encodings and cold CEC miters — and must stay
-/// off for warm incremental sessions that keep adding clauses and solving
-/// under assumptions (`incremental_cec`, `cone_verifier`).  The legacy
-/// engine has no preprocessor and ignores the flag.
+/// `preprocess` enables the bounded one-shot preprocessor (subsumption +
+/// self-subsumption + bounded variable elimination with model
+/// reconstruction).  It is only sound for the build-once/solve pattern —
+/// exact-synthesis encodings and cold CEC miters — and must stay off for
+/// warm incremental sessions that keep adding clauses and solving under
+/// assumptions (`incremental_cec`, `cone_verifier`).
 struct sat_params {
-    sat_engine engine = sat_engine::modern;
     bool preprocess = false;
-    restart_policy restarts = restart_policy::ema;
 };
 
 } // namespace mcx::sat

@@ -3,8 +3,9 @@
 // re-enumeration after arbitrary network surgery, clean nodes provably
 // untouched (arena generation tags), and flow outputs byte-identical to
 // the full-rebuild oracle flow (tests/oracle_pass.h) at every thread
-// count.  The scalar seed path rides along as a second oracle: its cut
-// sets AND its stat counters must match the word-parallel path 1:1.
+// count.  The scalar reference enumerator (tests/oracle/) rides along as a
+// second oracle: its cut sets AND its stat counters must match the
+// word-parallel kernel 1:1.
 #include "core/fault_inject.h"
 #include "core/flow.h"
 #include "cut/cut_incremental.h"
@@ -14,6 +15,7 @@
 #include "gen/des.h"
 #include "gen/lightweight.h"
 #include "io/bench.h"
+#include "oracle/cut_enumeration_scalar.h"
 #include "oracle_pass.h"
 #include "xag/cleanup.h"
 #include "xag/verify.h"
@@ -338,8 +340,8 @@ TEST(cut_maintainer, stopped_token_invalidates_half_done_refresh)
 // -------------------------------- randomized differential fuzz (tentpole)
 
 /// Maintained sets after random surgery must equal BOTH full oracles —
-/// word-parallel and scalar — node for node, and the two oracles must
-/// agree on every stat counter (the duplicate/eviction symmetry fix).
+/// enumerate_cuts and the scalar reference enumerator — node for node, and
+/// the two oracles must agree on every stat counter.
 TEST(incremental_differential, randomized_surgery_fuzz)
 {
     std::mt19937_64 rng{2026};
@@ -363,11 +365,9 @@ TEST(incremental_differential, randomized_surgery_fuzz)
             EXPECT_EQ(inc_stats.total_cuts, full_stats.total_cuts)
                 << "trial " << trial << " round " << round;
 
-            auto scalar_params = params;
-            scalar_params.word_parallel = false;
             cut_enumeration_stats scalar_stats;
             const auto scalar =
-                enumerate_cuts(net, scalar_params, &scalar_stats);
+                oracle::enumerate_cuts_scalar(net, params, &scalar_stats);
             expect_identical_cut_sets(sets, scalar, "vs scalar oracle");
 
             // Counter parity between the seed path and the fast path.

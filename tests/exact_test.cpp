@@ -1,6 +1,8 @@
 #include "exact/exact_mc.h"
+#include "exact/exact_mc_search.h"
 #include "exact/exact_size.h"
 #include "exact/heuristic_mc.h"
+#include "oracle/legacy_solver.h"
 #include "tt/operations.h"
 #include "xag/simulate.h"
 
@@ -89,10 +91,10 @@ TEST(exact_mc, product_of_four_needs_three)
 TEST(exact_mc, all_4var_functions_need_at_most_three)
 {
     // Turan-Peralta (paper ref [4]): MC of every 4-variable function <= 3.
-    // The retained legacy SAT engine must certify the same optimum: the
-    // database's AND counts, and so every flow's, are engine-independent
-    // (the synthesized structures may differ — optimal models are not
-    // unique).
+    // The same search on the reference legacy solver must certify the same
+    // optimum: the database's AND counts, and so every flow's, do not
+    // depend on the solver (the synthesized structures may differ —
+    // optimal models are not unique).
     std::mt19937_64 rng{31};
     for (int rep = 0; rep < 10; ++rep) {
         const auto f = random_tt(4, rng);
@@ -100,8 +102,8 @@ TEST(exact_mc, all_4var_functions_need_at_most_three)
         ASSERT_TRUE(r.success);
         EXPECT_LE(r.num_ands, 3u);
         EXPECT_EQ(simulate(r.circuit)[0], f);
-        const auto legacy =
-            exact_mc_synthesis(f, {.engine = sat::sat_engine::legacy});
+        const auto legacy = detail::exact_mc_search(
+            f, {}, [] { return oracle::legacy_solver{}; });
         ASSERT_TRUE(legacy.success);
         EXPECT_EQ(legacy.num_ands, r.num_ands) << "rep " << rep;
         EXPECT_EQ(legacy.optimal, r.optimal) << "rep " << rep;

@@ -1,10 +1,10 @@
-#include "sat/legacy_solver.h"
+#include "oracle/legacy_solver.h"
 
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
-namespace mcx::sat {
+namespace mcx::oracle {
 
 namespace {
 constexpr uint32_t heap_npos = ~uint32_t{0};
@@ -423,8 +423,8 @@ solve_result legacy_solver::solve(std::span<const literal> assumptions,
                            uint64_t conflict_budget,
                            const cancellation_token& token)
 {
-    // Fault injection (fault_site::sat_budget) and the sat.* metrics
-    // observer fire in the sat::solver facade, covering both engines.
+    // The oracle has no fault-injection site and feeds no sat.* metrics;
+    // both belong to the production sat::solver.
     failed_assumptions_.clear();
     backtrack(0);
     if (unsat_)
@@ -532,4 +532,4 @@ solve_result legacy_solver::solve(std::span<const literal> assumptions,
     }
 }
 
-} // namespace mcx::sat
+} // namespace mcx::oracle

@@ -1,14 +1,14 @@
-// The original self-contained CDCL SAT solver, retained verbatim as the
-// differential oracle behind `sat_params::engine == sat_engine::legacy`:
-// two-literal watching, VSIDS decision
-// heuristic with phase saving, first-UIP conflict learning, Luby restarts,
-// and activity-based learnt-clause reduction over `std::vector<clause>`
-// storage.
+// The original self-contained CDCL SAT solver, kept verbatim as the
+// differential oracle for `sat::solver` (src/sat/solver.h): two-literal
+// watching, VSIDS decision heuristic with phase saving, first-UIP conflict
+// learning, Luby restarts, and activity-based learnt-clause reduction over
+// `std::vector<clause>` storage.
 //
-// The modern arena-based core (src/sat/modern_solver.h) must stay
-// verdict-identical to this engine on every instance; the randomized
-// differential fuzz in tests/sat_test.cpp enforces that.  Do not "improve"
-// this file — its value is being the unchanged reference.
+// Test-only (the mcx_oracle library): `sat::solver` must stay
+// verdict-identical to this engine on every instance, which the randomized
+// differential fuzz in tests/sat_test.cpp enforces, and bench_micro_core
+// gates the production core's speed against it.  Do not "improve" this
+// file — its value is being the unchanged reference.
 #pragma once
 
 #include "core/budget.h"
@@ -16,10 +16,15 @@
 
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <span>
 #include <vector>
 
-namespace mcx::sat {
+namespace mcx::oracle {
+
+using sat::literal;
+using sat::solve_result;
+using sat::solver_stats;
 
 class legacy_solver {
 public:
@@ -34,6 +39,17 @@ public:
     /// instance trivially unsatisfiable.  Returns false if the clause is
     /// already conflicting under top-level assignments.
     bool add_clause(std::span<const literal> lits);
+    bool add_clause(std::initializer_list<literal> lits)
+    {
+        return add_clause(std::span<const literal>{lits.begin(), lits.size()});
+    }
+
+    /// Assumption-free solve (see below).
+    solve_result solve(uint64_t conflict_budget = 0,
+                       const cancellation_token& token = {})
+    {
+        return solve({}, conflict_budget, token);
+    }
 
     /// Solve under `assumptions`: each literal is forced true for this call
     /// only, via pseudo-decision levels below every real decision.  Learnt
@@ -140,4 +156,4 @@ private:
     std::vector<literal> failed_assumptions_;
 };
 
-} // namespace mcx::sat
+} // namespace mcx::oracle

@@ -1,4 +1,6 @@
 #include "core/fault_inject.h"
+#include "obs/metrics.h"
+#include "oracle/legacy_solver.h"
 #include "sat/cnf.h"
 #include "sat/equivalence.h"
 #include "sat/solver.h"
@@ -88,6 +90,38 @@ TEST(sat_solver, pigeonhole_unsat)
             for (int p2 = p1 + 1; p2 < pigeons; ++p2)
                 s.add_clause({neg(var[p1][h]), neg(var[p2][h])});
     EXPECT_EQ(s.solve(), solve_result::unsatisfiable);
+}
+
+TEST(sat_solver, solve_mirrors_its_stats_into_the_metrics_registry)
+{
+    // Every solve() adds one to sat.solves and its conflicts to
+    // sat.conflicts (docs/observability.md); no other test reads these
+    // process-wide mirrors.
+    constexpr int pigeons = 5, holes = 4;
+    solver s;
+    uint32_t var[pigeons][holes];
+    for (auto& row : var)
+        for (auto& v : row)
+            v = s.add_variable();
+    for (int p = 0; p < pigeons; ++p) {
+        std::vector<literal> some;
+        for (int h = 0; h < holes; ++h)
+            some.push_back(pos(var[p][h]));
+        s.add_clause(some);
+    }
+    for (int h = 0; h < holes; ++h)
+        for (int p1 = 0; p1 < pigeons; ++p1)
+            for (int p2 = p1 + 1; p2 < pigeons; ++p2)
+                s.add_clause({neg(var[p1][h]), neg(var[p2][h])});
+
+    const auto solves = obs::register_metric("sat.solves");
+    const auto conflicts = obs::register_metric("sat.conflicts");
+    const auto solves_before = solves.value();
+    const auto conflicts_before = conflicts.value();
+    ASSERT_EQ(s.solve(), solve_result::unsatisfiable);
+    EXPECT_EQ(solves.value() - solves_before, 1u);
+    EXPECT_GT(s.stats().conflicts, 0u);
+    EXPECT_EQ(conflicts.value() - conflicts_before, s.stats().conflicts);
 }
 
 TEST(sat_solver, conflict_budget_returns_undecided)
@@ -544,7 +578,7 @@ TEST(cone_verifier_check, undecided_on_injected_budget_exhaustion)
               equivalence_result::equivalent);
 }
 
-// --------------------------------------- modern-vs-legacy differential
+// ------------------------------------ solver-vs-legacy-oracle differential
 
 namespace {
 
@@ -567,22 +601,23 @@ std::vector<std::vector<literal>> random_cnf(std::mt19937_64& rng,
     return clauses;
 }
 
-void expect_model_satisfies(const solver& s,
+template <class Solver>
+void expect_model_satisfies(const Solver& s,
                             const std::vector<std::vector<literal>>& clauses)
 {
     for (const auto& cl : clauses) {
         bool any = false;
         for (const auto l : cl)
             any |= s.model_value(l.var()) != l.negative();
-        EXPECT_TRUE(any) << engine_name(s.engine())
-                         << " model violates a clause";
+        EXPECT_TRUE(any) << "model violates a clause";
     }
 }
 
-solver build(sat_engine engine, bool preprocess, uint32_t num_vars,
+/// `s` with `num_vars` variables and `clauses`.
+template <class Solver>
+Solver build(Solver s, uint32_t num_vars,
              const std::vector<std::vector<literal>>& clauses)
 {
-    solver s{sat_params{.engine = engine, .preprocess = preprocess}};
     for (uint32_t v = 0; v < num_vars; ++v)
         (void)s.add_variable();
     for (const auto& cl : clauses)
@@ -592,7 +627,7 @@ solver build(sat_engine engine, bool preprocess, uint32_t num_vars,
 
 } // namespace
 
-// The modern core must be verdict-identical to the legacy engine on random
+// The solver must be verdict-identical to the legacy oracle on random
 // CNF across multi-call sequences with assumptions: same answers at every
 // step, models that satisfy clauses and assumptions, and failed-assumption
 // subsets that are independently unsatisfiable.
@@ -605,11 +640,11 @@ TEST_P(engine_differential, assumption_sequences_agree_with_legacy)
     const uint32_t num_clauses = num_vars * 3 + rng() % (num_vars * 3);
     const auto clauses = random_cnf(rng, num_vars, num_clauses);
 
-    auto modern = build(sat_engine::modern, false, num_vars, clauses);
-    auto legacy = build(sat_engine::legacy, false, num_vars, clauses);
+    auto core = build(solver{}, num_vars, clauses);
+    auto legacy = build(oracle::legacy_solver{}, num_vars, clauses);
 
     // Three rounds: assumption-free, then two random assumption sets —
-    // exercising learnt retention between calls on both engines.
+    // exercising learnt retention between calls on both solvers.
     for (int round = 0; round < 3; ++round) {
         std::vector<literal> assumptions;
         if (round > 0)
@@ -618,29 +653,30 @@ TEST_P(engine_differential, assumption_sequences_agree_with_legacy)
                     literal{static_cast<uint32_t>(rng() % num_vars),
                             (rng() & 1) != 0});
 
-        const auto vm = modern.solve(assumptions);
+        const auto vm = core.solve(assumptions);
         const auto vl = legacy.solve(assumptions);
         EXPECT_EQ(vm, vl) << "round " << round;
 
         if (vm == solve_result::satisfiable) {
-            expect_model_satisfies(modern, clauses);
+            expect_model_satisfies(core, clauses);
             expect_model_satisfies(legacy, clauses);
             for (const auto a : assumptions)
-                EXPECT_EQ(modern.model_value(a.var()), !a.negative());
+                EXPECT_EQ(core.model_value(a.var()), !a.negative());
         } else if (vm == solve_result::unsatisfiable &&
                    !assumptions.empty()) {
             // The failed subset must come from the assumptions and be a
             // sufficient reason: a fresh legacy solver with the subset as
             // units must still be UNSAT.
-            const auto& failed = modern.failed_assumptions();
+            const auto& failed = core.failed_assumptions();
             for (const auto f : failed)
                 EXPECT_TRUE(std::find(assumptions.begin(), assumptions.end(),
                                       f) != assumptions.end());
-            auto oracle = build(sat_engine::legacy, false, num_vars, clauses);
+            auto reference =
+                build(oracle::legacy_solver{}, num_vars, clauses);
             for (const auto f : failed)
-                oracle.add_clause({f});
-            EXPECT_EQ(oracle.solve(), solve_result::unsatisfiable)
-                << "modern failed-assumption subset is not a reason";
+                reference.add_clause({f});
+            EXPECT_EQ(reference.solve(), solve_result::unsatisfiable)
+                << "core failed-assumption subset is not a reason";
         }
     }
 }
@@ -662,16 +698,16 @@ TEST_P(preprocess_differential, verdicts_and_models_agree_with_legacy)
     const uint32_t num_clauses = num_vars * 2 + rng() % (num_vars * 2);
     const auto clauses = random_cnf(rng, num_vars, num_clauses);
 
-    auto modern = build(sat_engine::modern, true, num_vars, clauses);
-    auto legacy = build(sat_engine::legacy, false, num_vars, clauses);
+    auto core = build(solver{{.preprocess = true}}, num_vars, clauses);
+    auto legacy = build(oracle::legacy_solver{}, num_vars, clauses);
 
     const auto vl = legacy.solve();
     // Two assumption-free solves: the second runs on the preprocessed DB.
     for (int round = 0; round < 2; ++round) {
-        const auto vm = modern.solve();
+        const auto vm = core.solve();
         EXPECT_EQ(vm, vl) << "round " << round;
         if (vm == solve_result::satisfiable)
-            expect_model_satisfies(modern, clauses);
+            expect_model_satisfies(core, clauses);
     }
 }
 

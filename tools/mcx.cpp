@@ -417,7 +417,9 @@ void usage(FILE* out)
         "  --verify <m>            sim (default) | sat (warm incremental\n"
         "                          CEC, one solver across outputs) |\n"
         "                          sat-cold (fresh whole-network miter) |\n"
-        "                          none\n"
+        "                          none; the summary line says proved,\n"
+        "                          sampled (sim above 16 inputs) or\n"
+        "                          unverified\n"
         "  --report <file>         per-pass JSON report (see docs/artifacts.md)\n"
         "  --seed <n>              random-simulation seed (default 1)\n"
         "\n"
@@ -466,6 +468,15 @@ bool ends_with(const std::string& s, const char* suffix)
 {
     const auto n = std::strlen(suffix);
     return s.size() >= n && s.compare(s.size() - n, n, suffix) == 0;
+}
+
+/// How strong the equivalence check behind `method` was, for the summary
+/// line: a proof, a random sample, or nothing.
+const char* verify_label(const std::string& method)
+{
+    if (method == "none")
+        return "unverified";
+    return method == "random-simulation" ? "sampled" : "proved";
 }
 
 } // namespace
@@ -780,7 +791,7 @@ int main(int argc, char** argv)
                     optimized.num_xors(), and_depth(optimized),
                     result.seconds, result.iterations,
                     result.iterations == 1 ? "" : "s",
-                    method == "none" ? "unverified" : "verified");
+                    verify_label(method));
         if (result.limit_hit && opt.fail_on_limit)
             return exit_failure;
     } catch (const std::exception& e) {
