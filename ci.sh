@@ -70,7 +70,9 @@ cmp build/adder16_opt.bench build/adder16_satcold.bench || {
 # Parallel flow smoke (docs/parallel.md determinism contract): the
 # default run (one worker) must be bit-identical to explicit --threads 1
 # and --threads 4 runs — on adder16, on aes128, whose XOR pass has a
-# binding pairing budget, and on des4, the first deep circuit of the set.
+# binding pairing budget, on des4, the first deep circuit of the set, and
+# for the XOR pass alone on md5, whose wide accumulator rows lie beyond
+# the pairing budget.
 ./build/tools/mcx --flow mc+xor --threads 4 gen:adder:16 \
     -o build/adder16_par4.bench --report FLOW_smoke_par.json
 ./build/tools/mcx --flow mc+xor --threads 1 gen:adder:16 \
@@ -85,9 +87,13 @@ cmp build/adder16_opt.bench build/adder16_satcold.bench || {
     -o build/des4_par1.bench
 ./build/tools/mcx --flow mc+xor --threads 4 gen:des:4 \
     -o build/des4_par4.bench
+./build/tools/mcx --flow xor gen:md5 -o build/md5_xor.bench
+./build/tools/mcx --flow xor --threads 1 gen:md5 -o build/md5_xor_par1.bench
+./build/tools/mcx --flow xor --threads 4 gen:md5 -o build/md5_xor_par4.bench
 for pair in adder16_opt:adder16_par1 adder16_opt:adder16_par4 \
             aes128_opt:aes128_par1 aes128_opt:aes128_par4 \
-            des4_opt:des4_par1 des4_opt:des4_par4; do
+            des4_opt:des4_par1 des4_opt:des4_par4 \
+            md5_xor:md5_xor_par1 md5_xor:md5_xor_par4; do
     cmp "build/${pair%%:*}.bench" "build/${pair##*:}.bench" || {
         echo "ci.sh: ${pair##*:} output differs from the default run" >&2
         exit 1
@@ -116,7 +122,8 @@ with open(sys.argv[1]) as f:
 events = trace["traceEvents"]
 names = {e["name"] for e in events}
 for required in ["process_name", "flow", "mc-rewrite", "round",
-                 "phase.evaluate", "phase.commit", "pool.task"]:
+                 "phase.evaluate", "phase.commit", "pool.task",
+                 "xor-resynthesis", "phase.xor-expand", "phase.xor-pair"]:
     assert required in names, f"trace lacks a {required!r} event"
 begins = sum(1 for e in events if e["ph"] == "B")
 ends = sum(1 for e in events if e["ph"] == "E")
@@ -165,6 +172,18 @@ grep -q '"limit_hit": true' FLOW_smoke_deadline.json || {
 }
 grep -q '"outcome": "deadline_exceeded"' FLOW_smoke_deadline.json || {
     echo "ci.sh: deadline run did not record its outcome" >&2
+    exit 1
+}
+# A --verify sat check that starts after the deadline fired must not
+# inherit the spent deadline: it still proves the best-effort network,
+# writes it and exits 0.
+timeout 60 ./build/tools/mcx --deadline 0.05 --verify sat --flow mc+xor \
+    gen:adder:64 -o build/adder64_deadline_sat.bench \
+    --report FLOW_smoke_deadline_sat.json >/dev/null
+grep -q '"limit_hit": true' FLOW_smoke_deadline_sat.json &&
+    grep -q '"verify_label": "proved"' FLOW_smoke_deadline_sat.json &&
+    [ -s build/adder64_deadline_sat.bench ] || {
+    echo "ci.sh: deadline-limited --verify sat run did not prove and emit" >&2
     exit 1
 }
 # With --on-limit fail the same limit hit must flip the exit code to 1.
@@ -318,5 +337,6 @@ cmake --build build-asan -j"$(nproc)" --target sat_test
 echo "ci.sh: all gates passed (JSON artifacts: BENCH_micro_core.json," \
      "FLOW_smoke_gen.json, FLOW_smoke_bench.json, FLOW_smoke_par.json," \
      "FLOW_smoke_sat.json," \
-     "FLOW_smoke_deadline.json, FLOW_smoke_sigint.json," \
+     "FLOW_smoke_deadline.json, FLOW_smoke_deadline_sat.json," \
+     "FLOW_smoke_sigint.json," \
      "FLOW_smoke_fault.json, FLOW_smoke_progress.json)"

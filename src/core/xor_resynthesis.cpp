@@ -6,9 +6,10 @@
 #include "par/thread_pool.h"
 
 #include <algorithm>
-#include <bit>
+#include <iterator>
 #include <optional>
 #include <queue>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -16,161 +17,11 @@ namespace mcx {
 
 namespace {
 
-/// A linear block root expressed over terminals: value = parity of the
-/// terminal node values in `terms` (sorted ascending), complemented if
-/// `constant`.
-struct linear_row {
-    uint32_t root = 0;
-    std::vector<uint32_t> terms;
-    bool constant = false;
-};
-
-/// Packed bitset rows over a dense term-id space (remapped terminal ids
-/// first, planned pair ids above them), one row per linear block that
-/// takes part in pair extraction.  Replaces the per-row std::set:
-/// membership is one bit test, the expander's XOR-cancellation is one
-/// flip, and the ascending iteration order the chain rebuild relies on
-/// falls out of the word scan.  All rows live in one flat pool sized
-/// once, and the same bits flow from the pairing loop into the chain
-/// rebuild — no per-step container churn.
-class packed_rows {
-public:
-    packed_rows(size_t num_rows, size_t id_limit)
-        : stride_{(id_limit + 63) / 64}, pool_(num_rows * stride_, 0)
-    {
-    }
-
-    bool test(uint32_t row, uint32_t id) const
-    {
-        return (word(row, id) >> (id & 63)) & 1;
-    }
-
-    void insert(uint32_t row, uint32_t id)
-    {
-        word(row, id) |= uint64_t{1} << (id & 63);
-    }
-
-    void erase(uint32_t row, uint32_t id)
-    {
-        word(row, id) &= ~(uint64_t{1} << (id & 63));
-    }
-
-    /// Visit the row's term ids in ascending order (the std::set order the
-    /// seed implementation iterated in).
-    template <typename F>
-    void for_each(uint32_t row, F&& f) const
-    {
-        const uint64_t* words = pool_.data() + row * stride_;
-        for (size_t i = 0; i < stride_; ++i)
-            for (uint64_t w = words[i]; w != 0; w &= w - 1)
-                f(static_cast<uint32_t>(64 * i + std::countr_zero(w)));
-    }
-
-private:
-    uint64_t& word(uint32_t row, uint32_t id)
-    {
-        return pool_[row * stride_ + (id >> 6)];
-    }
-    const uint64_t& word(uint32_t row, uint32_t id) const
-    {
-        return pool_[row * stride_ + (id >> 6)];
-    }
-
-    size_t stride_;
-    std::vector<uint64_t> pool_;
-};
-
-/// Expands XOR cones down to non-XOR terminals with cancellation (a
-/// terminal reached by an even number of paths vanishes).
-///
-/// A terminal's membership is the parity of the number of root-to-terminal
-/// paths, and the row constant is the parity of complemented-edge
-/// traversals over all paths — so instead of enumerating paths (the seed
-/// implementation, exponential on reconvergent XOR structure such as hash
-/// accumulators), propagate path-count parity through the cone in one
-/// topological sweep: each cone node is visited exactly once.  Terminal
-/// membership itself is one shared scratch bitset (flip on every arrival,
-/// survivors collected and reset afterwards) instead of set insert/erase.
-class linear_expander {
-public:
-    explicit linear_expander(const xag& net) : net_{net}
-    {
-        topo_index_.resize(net.size(), 0);
-        uint32_t i = 0;
-        for (const auto n : net.topological_order())
-            topo_index_[n] = ++i;
-        parity_.resize(net.size(), 0);
-        in_cone_.resize(net.size(), 0);
-        term_bit_.resize((net.size() + 63) / 64, 0);
-    }
-
-    linear_row expand(uint32_t root)
-    {
-        linear_row row;
-        row.root = root;
-
-        // Collect the XOR cone (root plus XOR nodes reachable through XOR
-        // fanins) once per root.
-        cone_.clear();
-        cone_.push_back(root);
-        in_cone_[root] = 1;
-        for (size_t i = 0; i < cone_.size(); ++i) {
-            for (const auto fi :
-                 {net_.fanin0(cone_[i]), net_.fanin1(cone_[i])}) {
-                const auto m = fi.node();
-                if (net_.is_xor(m) && !in_cone_[m]) {
-                    in_cone_[m] = 1;
-                    cone_.push_back(m);
-                }
-            }
-        }
-        // Fanins before fanouts globally, so descending topo index
-        // processes every node before its cone fanins.
-        std::sort(cone_.begin(), cone_.end(), [&](uint32_t a, uint32_t b) {
-            return topo_index_[a] > topo_index_[b];
-        });
-
-        touched_.clear();
-        parity_[root] = 1;
-        for (const auto n : cone_) {
-            const auto p = parity_[n];
-            parity_[n] = 0; // reset for the next expand() call
-            in_cone_[n] = 0;
-            if (p == 0)
-                continue;
-            for (const auto fi : {net_.fanin0(n), net_.fanin1(n)}) {
-                row.constant ^= fi.complemented();
-                const auto m = fi.node();
-                if (net_.is_xor(m)) {
-                    parity_[m] ^= 1;
-                } else if (m != 0) {
-                    // Terminal: AND node or PI (node 0 contributes nothing).
-                    term_bit_[m >> 6] ^= uint64_t{1} << (m & 63);
-                    touched_.push_back(m);
-                }
-            }
-        }
-        // Survivors (odd path parity) in ascending order; reset the scratch.
-        std::sort(touched_.begin(), touched_.end());
-        touched_.erase(std::unique(touched_.begin(), touched_.end()),
-                       touched_.end());
-        for (const auto m : touched_)
-            if ((term_bit_[m >> 6] >> (m & 63)) & 1) {
-                row.terms.push_back(m);
-                term_bit_[m >> 6] &= ~(uint64_t{1} << (m & 63));
-            }
-        return row;
-    }
-
-private:
-    const xag& net_;
-    std::vector<uint32_t> topo_index_;
-    std::vector<uint8_t> parity_;
-    std::vector<uint8_t> in_cone_;
-    std::vector<uint64_t> term_bit_; ///< scratch terminal-parity bitset
-    std::vector<uint32_t> cone_;
-    std::vector<uint32_t> touched_;
-};
+/// A linear row: the terms whose parity a block computes, as ascending
+/// ids.  Ids below the network size are terminal nodes (AND gates, PIs);
+/// planned pair k of the extraction below is `base_size + k`.  One form
+/// carries a row from expansion through pairing to the chain rebuild.
+using row = std::vector<uint32_t>;
 
 } // namespace
 
@@ -179,43 +30,81 @@ xor_resynthesis_stats xor_resynthesis(xag& network,
 {
     xor_resynthesis_stats stats;
     stats.xors_before = network.num_xors();
-    const uint32_t base_size = network.size(); // term ids below are real
+    const uint32_t base_size = network.size(); // pair ids start here
 
     // Block roots: XOR nodes consumed by an AND gate or a primary output.
     // Interior XOR nodes (all fanouts are XOR gates feeding the same
-    // blocks) are swallowed by the expansion.
-    std::vector<uint32_t> roots;
-    {
-        std::vector<uint8_t> is_root(network.size(), 0);
-        for (const auto n : network.topological_order()) {
-            if (!network.is_and(n))
+    // blocks) are swallowed by the expansion.  The topological order holds
+    // only the live logic reachable from the outputs, so dangling gates
+    // are never expanded.
+    const auto order = network.topological_order();
+    std::vector<uint8_t> is_root(base_size, 0);
+    std::vector<uint32_t> xor_readers(base_size, 0); // fanin reads pending
+    for (const auto n : order) {
+        if (!network.is_and(n) && !network.is_xor(n))
+            continue;
+        for (const auto fi : {network.fanin0(n), network.fanin1(n)}) {
+            if (!network.is_xor(fi.node()))
                 continue;
-            for (const auto fi : {network.fanin0(n), network.fanin1(n)})
-                if (network.is_xor(fi.node()))
-                    is_root[fi.node()] = 1;
+            if (network.is_and(n))
+                is_root[fi.node()] = 1;
+            else
+                ++xor_readers[fi.node()];
         }
-        for (uint32_t i = 0; i < network.num_pos(); ++i)
-            if (network.is_xor(network.po_at(i).node()))
-                is_root[network.po_at(i).node()] = 1;
-        for (uint32_t n = 0; n < network.size(); ++n)
-            if (is_root[n] && !network.is_dead(n))
-                roots.push_back(n);
     }
+    for (uint32_t i = 0; i < network.num_pos(); ++i)
+        if (network.is_xor(network.po_at(i).node()))
+            is_root[network.po_at(i).node()] = 1;
+    std::vector<uint32_t> roots;
+    for (uint32_t n = 0; n < base_size; ++n)
+        if (is_root[n])
+            roots.push_back(n);
     if (roots.empty()) {
         stats.xors_after = stats.xors_before;
         return stats;
     }
 
-    std::vector<linear_row> rows;
-    rows.reserve(roots.size());
+    // Expand every XOR node over its terminals in one bottom-up sweep: a
+    // node's row is the symmetric difference of its fanins' rows (a
+    // terminal reached by an even number of paths cancels), its constant
+    // the parity of the complemented edges and fanin constants.  Each row
+    // is computed once and freed when its last XOR reader has merged it,
+    // unless it is a root.
+    std::vector<row> rows(base_size);
+    std::vector<uint8_t> constant(base_size, 0);
     {
         obs::trace::trace_span expand_span{"phase.xor-expand"};
-        linear_expander expander{network};
-        for (const auto r : roots)
-            rows.push_back(expander.expand(r));
-        expand_span.set_arg(rows.size());
+        uint32_t leaf[2];
+        const auto operand = [&](signal fi, uint32_t& slot) {
+            const auto m = fi.node();
+            if (network.is_xor(m))
+                return std::span<const uint32_t>{rows[m]};
+            slot = m; // terminal; the constant node contributes nothing
+            return std::span<const uint32_t>{&slot, m != 0 ? 1u : 0u};
+        };
+        for (const auto n : order) {
+            if (!network.is_xor(n))
+                continue;
+            const auto f0 = network.fanin0(n);
+            const auto f1 = network.fanin1(n);
+            const auto a = operand(f0, leaf[0]);
+            const auto b = operand(f1, leaf[1]);
+            std::set_symmetric_difference(a.begin(), a.end(), b.begin(),
+                                          b.end(),
+                                          std::back_inserter(rows[n]));
+            constant[n] = f0.complemented() ^ f1.complemented();
+            for (const auto fi : {f0, f1}) {
+                const auto m = fi.node();
+                if (!network.is_xor(m))
+                    continue;
+                constant[n] ^= constant[m];
+                if (--xor_readers[m] == 0 && !is_root[m])
+                    row{}.swap(rows[m]);
+            }
+        }
+        expand_span.set_arg(roots.size());
     }
-    stats.blocks = static_cast<uint32_t>(rows.size());
+    stats.blocks = static_cast<uint32_t>(roots.size());
 
     // Paar's greedy algorithm on the whole system: extract the most common
     // terminal pair as a new shared term until no pair repeats.  Pair
@@ -223,19 +112,6 @@ xor_resynthesis_stats xor_resynthesis(xag& network,
     // is quadratic and intractable on hash-sized linear systems), with a
     // lazily-invalidated max-heap selecting the next pair.
     //
-    // Pairing works in a DENSE id space: the distinct terminals of the
-    // narrow rows get ids [0, num_terms) in ascending node order, planned
-    // pair ids follow from num_terms — so the bitset rows span only the
-    // ids that can actually occur instead of the whole network, and only
-    // narrow rows get a bitset at all.  The mapping is monotone, so pair
-    // ordering, heap tie-breaking, and the ascending chain-rebuild scan
-    // are unchanged from the node-id formulation.
-    struct planned_pair {
-        uint32_t a, b;   ///< dense term ids (terminal or earlier planned)
-        uint32_t id;     ///< dense id of the new term
-    };
-    std::vector<planned_pair> plan;
-
     // Rows of any width take part in pair extraction.  Pair seeding is
     // quadratic per row, so admission is narrowest-first under a Σwidth²
     // work budget: every row of rewrite-scale circuits qualifies, while
@@ -243,71 +119,47 @@ xor_resynthesis_stats xor_resynthesis(xag& network,
     // unbounded seeding would be ~10¹⁰ operations on MD5 — keep their
     // existing trees.  Admission depends only on the multiset of row
     // widths, so the result is deterministic.
-
     const uint32_t seed_workers =
         params.pool != nullptr ? params.pool->num_workers() : 1;
     stats.seed_workers = seed_workers;
 
-    const std::vector<uint8_t> narrow = [&] {
-        std::vector<uint8_t> flags(rows.size(), 0);
-        std::vector<uint32_t> by_width(rows.size());
-        for (uint32_t r = 0; r < rows.size(); ++r) {
+    const auto width = [&](uint32_t r) {
+        return static_cast<uint32_t>(rows[roots[r]].size());
+    };
+    std::vector<uint8_t> admitted(roots.size(), 0);
+    {
+        std::vector<uint32_t> by_width(roots.size());
+        for (uint32_t r = 0; r < roots.size(); ++r) {
             by_width[r] = r;
-            stats.widest_row =
-                std::max(stats.widest_row,
-                         static_cast<uint32_t>(rows[r].terms.size()));
+            stats.widest_row = std::max(stats.widest_row, width(r));
         }
         std::stable_sort(by_width.begin(), by_width.end(),
                          [&](uint32_t a, uint32_t b) {
-                             return rows[a].terms.size() <
-                                    rows[b].terms.size();
+                             return width(a) < width(b);
                          });
         uint64_t work = 0;
         for (const auto r : by_width) {
-            const auto w = static_cast<uint64_t>(rows[r].terms.size());
+            const uint64_t w = width(r);
             // The budget does not scale with the team, so the admission
             // set — and the output — is the same at any worker count.
             if (params.pairing_work_budget != 0 &&
                 work + w * w > params.pairing_work_budget)
                 break;
             work += w * w;
-            flags[r] = 1;
+            admitted[r] = 1;
             ++stats.rows_paired;
             stats.widest_row_paired =
-                std::max(stats.widest_row_paired, static_cast<uint32_t>(w));
+                std::max(stats.widest_row_paired, width(r));
         }
-        return flags;
-    }();
-    std::vector<uint32_t> slot(rows.size(), 0); // narrow row -> bitset row
-    uint32_t num_narrow = 0;
-    for (size_t r = 0; r < rows.size(); ++r)
-        if (narrow[r])
-            slot[r] = num_narrow++;
+    }
 
-    // term_of: dense id -> node id (ascending); dense_of: node id -> dense.
-    std::vector<uint32_t> term_of;
-    size_t narrow_instances = 0;
-    for (size_t r = 0; r < rows.size(); ++r)
-        if (narrow[r]) {
-            narrow_instances += rows[r].terms.size();
-            term_of.insert(term_of.end(), rows[r].terms.begin(),
-                           rows[r].terms.end());
-        }
-    std::sort(term_of.begin(), term_of.end());
-    term_of.erase(std::unique(term_of.begin(), term_of.end()),
-                  term_of.end());
-    const auto num_terms = static_cast<uint32_t>(term_of.size());
-    std::vector<uint32_t> dense_of(base_size, 0);
-    for (uint32_t d = 0; d < num_terms; ++d)
-        dense_of[term_of[d]] = d;
-    uint32_t next_term_id = num_terms; // dense ids above terminals = planned
-
-    // Every extraction removes two term instances per affected row (>= 2
-    // rows) and mints exactly one new id, so the planned-id space is
-    // bounded by half the narrow rows' initial term instances.
-    const size_t id_limit = num_terms + narrow_instances / 2 + 1;
-
-    packed_rows bits{num_narrow, id_limit};
+    // Pairing rewrites a copy of each admitted row; the expansion stays as
+    // the leaf set of the MFFC gain check below.
+    std::vector<row> paired(roots.size());
+    struct planned_pair {
+        uint32_t a, b; ///< term ids (terminal or earlier planned pair)
+    };
+    std::vector<planned_pair> plan;
 
     using term_pair = std::pair<uint32_t, uint32_t>;
     struct pair_hash {
@@ -316,7 +168,8 @@ xor_resynthesis_stats xor_resynthesis(xag& network,
             return (static_cast<size_t>(p.first) << 32) ^ p.second;
         }
     };
-    std::unordered_map<term_pair, uint32_t, pair_hash> pair_count;
+    using pair_counts = std::unordered_map<term_pair, uint32_t, pair_hash>;
+    pair_counts pair_count;
     std::unordered_map<uint32_t, std::vector<uint32_t>> rows_of_term;
     std::priority_queue<std::pair<uint32_t, term_pair>> heap;
 
@@ -331,87 +184,74 @@ xor_resynthesis_stats xor_resynthesis(xag& network,
             heap.push({count, key});
     };
 
-    // Linear setup (bitsets, term->row index) stays sequential; only the
-    // quadratic pair counting fans out.
-    std::vector<uint32_t> narrow_rows;
-    narrow_rows.reserve(stats.rows_paired);
-    for (uint32_t r = 0; r < rows.size(); ++r) {
-        if (!narrow[r])
-            continue;
-        narrow_rows.push_back(r);
-        const auto& t = rows[r].terms;
-        for (size_t i = 0; i < t.size(); ++i) {
-            bits.insert(slot[r], dense_of[t[i]]);
-            rows_of_term[dense_of[t[i]]].push_back(r);
-        }
-    }
-    if (params.pool != nullptr && narrow_rows.size() > 1) {
-        // Per-worker count maps over a work-stealing partition of (row,
-        // outer-index-range) chunks, merged into the shared map afterwards.
-        // Chunking the outer index of the quadratic per-row loop means one
-        // very wide admitted row (a hash accumulator row can dominate the
-        // whole Σwidth² budget) spreads across the team instead of
-        // serializing on one worker.  Per-pair sums are schedule-
-        // independent, and the heap is seeded once per pair at its final
-        // count — the heap's valid-tuple set (count, key) is exactly the
-        // sequential path's, so extraction pops the same pairs in the same
-        // order (stale lower-count entries, which only the sequential path
-        // carries, are discarded by the staleness check).
-        struct seed_chunk {
-            uint32_t row;            ///< index into narrow_rows
-            uint32_t begin, end;     ///< outer-index range [begin, end)
-        };
+    // Seeding: count every pair of every admitted row.  The quadratic
+    // per-row loops split into (row, outer-index-range) chunks, so one
+    // very wide admitted row (a hash accumulator row can dominate the
+    // whole Σwidth² budget) spreads across the team instead of serializing
+    // on one worker.  Each worker counts into its own map and the maps
+    // merge afterwards; without a pool the same chunks run inline.  Sums
+    // are schedule-independent, and the heap is seeded once per pair at
+    // its final count, so extraction pops the same pairs in the same order
+    // at any worker count.
+    struct seed_chunk {
+        uint32_t row;        ///< root index of an admitted row
+        uint32_t begin, end; ///< outer-index range [begin, end)
+    };
+    std::vector<seed_chunk> chunks;
+    {
         uint64_t total_pairs = 0;
-        for (const auto r : narrow_rows) {
-            const auto w = static_cast<uint64_t>(rows[r].terms.size());
+        for (uint32_t r = 0; r < roots.size(); ++r) {
+            if (!admitted[r])
+                continue;
+            paired[r] = rows[roots[r]];
+            for (const auto t : paired[r])
+                rows_of_term[t].push_back(r);
+            const uint64_t w = width(r);
             total_pairs += w * (w - 1) / 2;
         }
         // ~8 chunks per worker smooths the work-stealing partition; the
         // floor keeps per-chunk map overhead negligible for small rounds.
         const uint64_t chunk_target = std::max<uint64_t>(
             4096, total_pairs / (uint64_t{8} * seed_workers + 1));
-        std::vector<seed_chunk> chunks;
-        for (uint32_t i = 0; i < narrow_rows.size(); ++i) {
-            const auto w =
-                static_cast<uint32_t>(rows[narrow_rows[i]].terms.size());
+        for (uint32_t r = 0; r < roots.size(); ++r) {
+            if (!admitted[r])
+                continue;
+            const auto w = width(r);
             uint32_t begin = 0;
             uint64_t acc = 0;
             for (uint32_t a = 0; a + 1 < w; ++a) {
                 acc += w - a - 1; // pairs contributed by outer index a
                 if (acc >= chunk_target) {
-                    chunks.push_back({i, begin, a + 1});
+                    chunks.push_back({r, begin, a + 1});
                     begin = a + 1;
                     acc = 0;
                 }
             }
             if (begin + 1 < w)
-                chunks.push_back({i, begin, w - 1});
-        }
-        std::vector<std::unordered_map<term_pair, uint32_t, pair_hash>>
-            local(seed_workers);
-        params.pool->parallel_for(
-            0, chunks.size(), [&](size_t i, uint32_t worker) {
-                const auto& chunk = chunks[i];
-                const auto& t = rows[narrow_rows[chunk.row]].terms;
-                auto& counts = local[worker];
-                for (size_t a = chunk.begin; a < chunk.end; ++a)
-                    for (size_t b = a + 1; b < t.size(); ++b)
-                        ++counts[ordered(dense_of[t[a]], dense_of[t[b]])];
-            });
-        for (const auto& counts : local)
-            for (const auto& [key, c] : counts)
-                pair_count[key] += c;
-        for (const auto& [key, c] : pair_count)
-            if (c >= 2)
-                heap.push({c, key});
-    } else {
-        for (const auto r : narrow_rows) {
-            const auto& t = rows[r].terms;
-            for (size_t i = 0; i < t.size(); ++i)
-                for (size_t j = i + 1; j < t.size(); ++j)
-                    bump(dense_of[t[i]], dense_of[t[j]], 1);
+                chunks.push_back({r, begin, w - 1});
         }
     }
+    std::vector<pair_counts> local(seed_workers);
+    const auto count_chunk = [&](size_t i, uint32_t worker) {
+        const auto& chunk = chunks[i];
+        const auto& t = paired[chunk.row];
+        auto& counts = local[worker];
+        for (size_t a = chunk.begin; a < chunk.end; ++a)
+            for (size_t b = a + 1; b < t.size(); ++b)
+                ++counts[{t[a], t[b]}];
+    };
+    if (params.pool != nullptr)
+        params.pool->parallel_for(0, chunks.size(), count_chunk);
+    else
+        for (size_t i = 0; i < chunks.size(); ++i)
+            count_chunk(i, 0);
+    for (const auto& counts : local)
+        for (const auto& [key, c] : counts)
+            pair_count[key] += c;
+    local.clear();
+    for (const auto& [key, c] : pair_count)
+        if (c >= 2)
+            heap.push({c, key});
 
     // Stopping mid-extraction (or mid-rebuild below) must not throw: the
     // protected-ref release sweeps at the end are unconditional cleanup,
@@ -446,25 +286,27 @@ xor_resynthesis_stats xor_resynthesis(xag& network,
         if (count < 2)
             break;
         const auto [a, b] = key;
-        const auto id = next_term_id++;
-        plan.push_back({a, b, id});
+        // Above every terminal and every earlier pair, so appending it
+        // keeps a row ascending.
+        const auto id = base_size + static_cast<uint32_t>(plan.size());
+        plan.push_back({a, b});
         ++stats.pairs_extracted;
 
         for (const auto r : rows_of_term[a]) {
-            if (!bits.test(slot[r], a) || !bits.test(slot[r], b))
+            auto& terms = paired[r];
+            if (!std::binary_search(terms.begin(), terms.end(), a) ||
+                !std::binary_search(terms.begin(), terms.end(), b))
                 continue;
             // Update counts for every other term of this row.
-            bits.for_each(slot[r], [&](uint32_t t) {
+            for (const auto t : terms)
                 if (t != a && t != b) {
                     bump(a, t, -1);
                     bump(b, t, -1);
                     bump(id, t, +1);
                 }
-            });
             bump(a, b, -1);
-            bits.erase(slot[r], a);
-            bits.erase(slot[r], b);
-            bits.insert(slot[r], id);
+            std::erase_if(terms, [&](uint32_t t) { return t == a || t == b; });
+            terms.push_back(id);
             rows_of_term[id].push_back(r);
         }
     }
@@ -475,24 +317,16 @@ xor_resynthesis_stats xor_resynthesis(xag& network,
     // Pin every real terminal: substitution cascades below may restructure
     // later rows' old cones and would otherwise free terminals before
     // their new chains are built.  Flags instead of a set; the take/release
-    // sweeps walk them in the same ascending order.
+    // sweeps walk them in ascending order.
     std::vector<uint8_t> is_protected(base_size, 0);
-    for (uint32_t r = 0; r < rows.size(); ++r) {
-        if (narrow[r])
-            bits.for_each(slot[r], [&](uint32_t term) {
-                if (term < num_terms)
-                    is_protected[term_of[term]] = 1;
-            });
-        else
-            for (const auto term : rows[r].terms)
-                is_protected[term] = 1;
-    }
-    for (const auto& p : plan) {
-        if (p.a < num_terms)
-            is_protected[term_of[p.a]] = 1;
-        if (p.b < num_terms)
-            is_protected[term_of[p.b]] = 1;
-    }
+    for (uint32_t r = 0; r < roots.size(); ++r)
+        for (const auto t : admitted[r] ? paired[r] : rows[roots[r]])
+            if (t < base_size)
+                is_protected[t] = 1;
+    for (const auto& p : plan)
+        for (const auto t : {p.a, p.b})
+            if (t < base_size)
+                is_protected[t] = 1;
     for (uint32_t term = 0; term < base_size; ++term)
         if (is_protected[term])
             network.take_ref(signal{term, false});
@@ -509,9 +343,9 @@ xor_resynthesis_stats xor_resynthesis(xag& network,
     std::vector<uint8_t> planned_built(plan.size(), 0);
     std::vector<uint32_t> built_this_row;
     const auto signal_of = [&](auto&& self, uint32_t term) -> signal {
-        if (term < num_terms)
-            return network.resolve(signal{term_of[term], false});
-        const auto idx = term - num_terms;
+        if (term < base_size)
+            return network.resolve(signal{term, false});
+        const auto idx = term - base_size;
         if (!planned_built[idx]) {
             const auto& p = plan[idx];
             const auto g = network.create_xor(self(self, p.a),
@@ -535,27 +369,26 @@ xor_resynthesis_stats xor_resynthesis(xag& network,
         }
     };
 
-    for (uint32_t r = 0; r < rows.size(); ++r) {
+    for (uint32_t r = 0; r < roots.size(); ++r) {
         if (params.token.stop_requested()) {
             // Rows already rebuilt keep their gains; the rest keep their
             // old trees.  Either way the network stays equivalent.
             stats.status = stop_reason();
             break;
         }
-        const auto& row = rows[r];
-        if (network.is_dead(row.root))
+        const auto root = roots[r];
+        if (network.is_dead(root))
             continue; // collapsed by an earlier substitution in this pass
-        if (!narrow[r])
+        if (!admitted[r])
             continue; // rows beyond the pairing budget keep their trees
         built_this_row.clear();
         const auto xors_before_row = network.num_xors();
-        auto acc = network.get_constant(row.constant);
-        bits.for_each(slot[r], [&](uint32_t term) {
+        auto acc = network.get_constant(constant[root]);
+        for (const auto term : paired[r])
             acc = network.create_xor(acc, signal_of(signal_of, term));
-        });
         const auto created = network.num_xors() - xors_before_row;
         const auto resolved = network.resolve(acc);
-        if (resolved.node() == row.root) {
+        if (resolved.node() == root) {
             // Already in optimal form: every chain gate strash-hit an
             // existing node, so only this row's fresh pair gates (if any)
             // need dropping.
@@ -565,12 +398,13 @@ xor_resynthesis_stats xor_resynthesis(xag& network,
         network.take_ref(resolved);
         // Gain check mirroring the rewriting engine: what the new chain
         // costs (after strashing) vs. the XOR gates exclusively owned by
-        // the old cone (the chain's references pin anything shared).
-        const auto freed =
-            mffc_gate_count(network, row.root, row.terms) -
-            mffc_and_count(network, row.root, row.terms);
+        // the old cone (the chain's references pin anything shared).  The
+        // old cone's leaves are the expansion's terminals.
+        const auto& leaves = rows[root];
+        const auto freed = mffc_gate_count(network, root, leaves) -
+                           mffc_and_count(network, root, leaves);
         if (created <= freed) {
-            network.substitute(row.root, resolved);
+            network.substitute(root, resolved);
             network.release_ref(network.resolve(resolved));
         } else {
             network.release_ref(resolved);
@@ -582,9 +416,9 @@ xor_resynthesis_stats xor_resynthesis(xag& network,
     // on a node that was merged away afterwards must not be released on the
     // merge survivor (that would steal one of its real references).  Pair
     // gates only the rejected rebuilds needed die right here.
-    for (const auto& p : plan)
-        if (planned_built[p.id - num_terms])
-            network.release_ref(planned_signal[p.id - num_terms]);
+    for (size_t k = 0; k < plan.size(); ++k)
+        if (planned_built[k])
+            network.release_ref(planned_signal[k]);
     for (uint32_t term = 0; term < base_size; ++term)
         if (is_protected[term])
             network.release_ref(signal{term, false});

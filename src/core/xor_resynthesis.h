@@ -27,16 +27,16 @@ struct xor_resynthesis_params {
     /// The default admits every row of rewrite-scale circuits — 16-term
     /// and 200-term rows alike — while full-hash linear systems (MD5's
     /// widest accumulator rows run to ~4 500 terms, Σwidth² ≈ 8.5 · 10¹⁰)
-    /// degrade gracefully: their widest rows keep their trees exactly as
-    /// the old hard cap left them.  0 = unlimited.  Selection depends
-    /// only on the sorted row widths — never on the worker count — so the
-    /// output is identical with and without a pool, at any worker count
-    /// (xor_resynthesis_test exercises both).
+    /// degrade gracefully: their widest rows keep their trees.
+    /// 0 = unlimited.  Selection depends only on the sorted row widths —
+    /// never on the worker count — so the output is identical with and
+    /// without a pool, at any worker count (xor_resynthesis_test
+    /// exercises both).
     uint64_t pairing_work_budget = 2'000'000;
     /// Worker team for pair-count seeding (the Σwidth² part); nullptr
-    /// runs the classic sequential seeding.  Extraction and the chain
-    /// rebuilds stay sequential — they mutate shared state and their cost
-    /// is linear in the extracted pairs.
+    /// runs the same seeding chunks inline on the caller.  Extraction and
+    /// the chain rebuilds stay sequential — they mutate shared state and
+    /// their cost is linear in the extracted pairs.
     thread_pool* pool = nullptr;
     /// Cooperative stop.  Checked between pair extractions and between row
     /// rebuilds; stopping skips the remaining work (the rows already

@@ -502,6 +502,41 @@ TEST(incremental_cec_check, undecided_under_budget)
     EXPECT_EQ(cec.check(candidate).result, equivalence_result::equivalent);
 }
 
+TEST(incremental_cec_check, stopped_token_is_undecided_without_counterexample)
+{
+    const auto golden = small_adder(5);
+    // Same interface, first output complemented: a finished check would
+    // refute it with a counterexample.
+    xag broken;
+    {
+        std::vector<signal> x, y;
+        for (int i = 0; i < 5; ++i)
+            x.push_back(broken.create_pi());
+        for (int i = 0; i < 5; ++i)
+            y.push_back(broken.create_pi());
+        auto carry = broken.get_constant(false);
+        for (int i = 0; i < 5; ++i) {
+            const auto sum = broken.create_xor(
+                broken.create_xor(x[i], y[i]), carry);
+            broken.create_po(i == 0 ? !sum : sum);
+            carry = broken.create_maj(x[i], y[i], carry);
+        }
+        broken.create_po(carry);
+    }
+
+    cancellation_source source;
+    source.request();
+    incremental_cec cec{golden};
+    const auto stopped = cec.check(broken, 0, source.token());
+    EXPECT_EQ(stopped.result, equivalence_result::undecided);
+    EXPECT_FALSE(stopped.counterexample.has_value());
+
+    // The stop does not poison the verifier: an unstopped check refutes.
+    const auto report = cec.check(broken);
+    EXPECT_EQ(report.result, equivalence_result::not_equivalent);
+    EXPECT_TRUE(report.counterexample.has_value());
+}
+
 TEST(incremental_cec_check, gc_rebuild_preserves_answers)
 {
     const auto golden = small_adder(4);

@@ -194,7 +194,7 @@ TEST(xor_resynthesis_pass, pool_seeding_is_deterministic)
     // Pair-count seeding fans out across workers, but with the admission
     // set pinned (unlimited budget ⇒ every row admitted at any worker
     // count) the extracted pairs — and therefore the rebuilt network —
-    // must be byte-identical to the sequential pass.  Workloads are kept
+    // must be byte-identical to the pool-free pass.  Workloads are kept
     // small enough that unlimited admission stays cheap: 20- and 24-term
     // rows, an adder's xor-heavy carry interface, and simon's round
     // structure.
@@ -259,7 +259,7 @@ TEST(xor_resynthesis_pass, pool_splits_single_wide_rows_deterministically)
     // chunks — so a single row's quadratic loop is spread across workers
     // rather than serializing on one.  Per-pair sums are schedule-
     // independent, so the rebuilt network must stay byte-identical to the
-    // sequential pass at any worker count.
+    // pool-free pass at any worker count.
     const auto serialize = [](const xag& n) {
         std::ostringstream os;
         write_bench(cleanup(n), os);
@@ -311,6 +311,80 @@ TEST(xor_resynthesis_pass, binding_budget_is_worker_count_independent)
         EXPECT_EQ(stats.rows_paired, stats_seq.rows_paired)
             << workers << " workers";
         EXPECT_EQ(stats.seed_workers, workers);
+    }
+}
+
+/// A reconvergent XOR lattice over AND terminals t_0..t_6.  Node (l, j)
+/// is the XOR of nodes (l-1, j) and (l-1, j+1 mod 7), so every lattice
+/// node feeds two nodes of the next layer and t_{j+k} reaches node (l, j)
+/// along C(l, k) paths: odd for some k, even (cancelled) for others.
+///  - Node (3, 0) also drives an AND, so it is a block root of its own and
+///    lies inside the cones of the last layer's roots: its row must
+///    survive their reads.
+///  - Each last-layer node reaches its output through a private chain
+///    that adds four terminals twice, so the chain cancels out of the row
+///    and the old tree is wasteful enough for the rebuild to pay off.
+///  - Finally t_0 is re-pointed at a complemented gate: substitution
+///    leaves the complement on the XOR fanin edges, so rows carry
+///    constants.
+xag lattice_network()
+{
+    xag net;
+    std::vector<signal> pis;
+    for (int i = 0; i < 10; ++i)
+        pis.push_back(net.create_pi());
+    constexpr uint32_t width = 7;
+    std::vector<signal> terms;
+    for (uint32_t j = 0; j < width; ++j)
+        terms.push_back(
+            net.create_and(pis[j], pis[(j + 3) % 10] ^ ((j & 1) != 0)));
+    auto layer = terms;
+    for (uint32_t l = 1; l <= 6; ++l) {
+        std::vector<signal> next;
+        for (uint32_t j = 0; j < width; ++j)
+            next.push_back(net.create_xor(
+                layer[j], layer[(j + 1) % width] ^ ((l + j) % 3 == 0)));
+        layer = std::move(next);
+        if (l == 3)
+            net.create_po(net.create_and(layer[0], pis[9]));
+    }
+    for (uint32_t j = 0; j < width; ++j) {
+        auto acc = layer[j];
+        for (uint32_t k = 0; k < 8; ++k)
+            acc = net.create_xor(acc, terms[(j + 1 + k % 4) % width]);
+        net.create_po(acc);
+    }
+    net.substitute(terms[0].node(), !net.create_and(pis[7], pis[8]));
+    return net;
+}
+
+TEST(xor_resynthesis_pass, reconvergent_lattice_keeps_function_and_ands)
+{
+    const auto serialize = [](const xag& n) {
+        std::ostringstream os;
+        write_bench(cleanup(n), os);
+        return os.str();
+    };
+    const auto source = lattice_network();
+    const auto golden = cleanup(source);
+
+    auto net = source;
+    const auto stats = xor_resynthesis(net);
+    net.check_integrity();
+    EXPECT_EQ(stats.blocks, 8u); // (3, 0) and the seven chain ends
+    EXPECT_EQ(stats.rows_paired, stats.blocks);
+    EXPECT_GT(stats.pairs_extracted, 0u);
+    EXPECT_LT(stats.xors_after, stats.xors_before); // rebuilds were taken
+    EXPECT_EQ(net.num_ands(), source.num_ands());
+    EXPECT_TRUE(exhaustive_equal(cleanup(net), golden));
+
+    const auto oracle = serialize(net);
+    for (const uint32_t workers : {1u, 2u, 4u}) {
+        thread_pool pool{workers};
+        auto par = source;
+        xor_resynthesis(par, {.pool = &pool});
+        par.check_integrity();
+        EXPECT_EQ(serialize(par), oracle) << workers << " workers";
     }
 }
 

@@ -181,7 +181,7 @@ std::string json_escape(const std::string& s)
 
 void write_report(const std::string& path, const std::string& input,
                   const flow_result& result, bool verified,
-                  const std::string& verify_method,
+                  const std::string& verify_method, const char* verify_label,
                   const std::vector<sat::verification_record>& verify_checks)
 {
     FILE* f = std::fopen(path.c_str(), "w");
@@ -281,8 +281,11 @@ void write_report(const std::string& path, const std::string& input,
                  "\"cpu_seconds\": %.4f, \"wall_seconds\": %.4f},\n",
                  static_cast<unsigned long long>(process.peak_rss_bytes),
                  process.cpu_seconds, process.wall_seconds);
-    std::fprintf(f, "  \"verified\": %s,\n  \"verify_method\": \"%s\"",
-                 verified ? "true" : "false", verify_method.c_str());
+    std::fprintf(f,
+                 "  \"verified\": %s,\n  \"verify_method\": \"%s\",\n"
+                 "  \"verify_label\": \"%s\"",
+                 verified ? "true" : "false", verify_method.c_str(),
+                 verify_label);
     if (!verify_checks.empty()) {
         // Per-output solves of the warm incremental CEC (--verify sat);
         // schema in docs/artifacts.md.
@@ -403,7 +406,9 @@ void usage(FILE* out)
         "                          expiry the flow stops at the next commit\n"
         "                          boundary and emits the best verified\n"
         "                          network so far.  SIGINT/SIGTERM trigger\n"
-        "                          the same cooperative stop\n"
+        "                          the same cooperative stop.  A --verify\n"
+        "                          sat check still running at expiry is\n"
+        "                          undecided (exit 1)\n"
         "  --pass-deadline <sec>   wall-clock budget per pass; a pass that\n"
         "                          overruns degrades to best-effort while\n"
         "                          the rest of the flow still runs\n"
@@ -419,7 +424,11 @@ void usage(FILE* out)
         "                          sat-cold (fresh whole-network miter) |\n"
         "                          none; the summary line says proved,\n"
         "                          sampled (sim above 16 inputs) or\n"
-        "                          unverified\n"
+        "                          unverified.  A sat check that\n"
+        "                          --deadline or a signal stops while it\n"
+        "                          runs is undecided (exit 1, no output);\n"
+        "                          one started after the flow stopped runs\n"
+        "                          to a verdict\n"
         "  --report <file>         per-pass JSON report (see docs/artifacts.md)\n"
         "  --seed <n>              random-simulation seed (default 1)\n"
         "\n"
@@ -471,9 +480,12 @@ bool ends_with(const std::string& s, const char* suffix)
 }
 
 /// How strong the equivalence check behind `method` was, for the summary
-/// line: a proof, a random sample, or nothing.
-const char* verify_label(const std::string& method)
+/// line and the report: a proof, a random sample, nothing, or a SAT check
+/// that stopped before it decided.
+const char* verify_label(const std::string& method, bool undecided)
 {
+    if (undecided)
+        return "undecided";
     if (method == "none")
         return "unverified";
     return method == "random-simulation" ? "sampled" : "proved";
@@ -715,6 +727,16 @@ int main(int argc, char** argv)
         bool verified = true;
         std::string method = "none";
         std::vector<sat::verification_record> verify_checks;
+        // Why a SAT check stopped short of a verdict (empty: it decided).
+        std::string undecided;
+        const auto decide = [&](const sat::equivalence_report& report,
+                                const cancellation_token& token) {
+            verified = report.result == sat::equivalence_result::equivalent;
+            if (report.result == sat::equivalence_result::undecided)
+                undecided = token.stop_requested()
+                                ? to_string(token.stop_reason())
+                                : "solver budget exhausted";
+        };
         if (opt.verify == "sim" || opt.verify == "sat" ||
             opt.verify == "sat-cold") {
             if (optimized.num_pis() <= 16) {
@@ -728,16 +750,23 @@ int main(int argc, char** argv)
             if (verified && opt.verify == "sat") {
                 // Warm path: the golden CNF is encoded once and every
                 // output is decided under assumptions on the same solver.
+                // The check obeys only stops that arrive while it runs, so
+                // a flow that its deadline or a signal already stopped
+                // still gets its best-effort network verified: after the
+                // deadline only a signal stops the check, after a signal
+                // nothing does (a second one kills the process).
+                const auto signals = signal_cancellation().token();
+                const cancellation_token token =
+                    !opt.params.token.stop_requested() ? opt.params.token
+                    : !signals.stop_requested()        ? signals
+                                                       : cancellation_token{};
                 sat::incremental_cec cec{golden};
-                const auto report = cec.check(optimized);
-                verified =
-                    report.result == sat::equivalence_result::equivalent;
+                decide(cec.check(optimized, 0, token), token);
                 verify_checks = cec.records();
                 method = "sat";
             } else if (verified && opt.verify == "sat-cold") {
-                const auto report = sat::check_equivalence(optimized, golden);
-                verified =
-                    report.result == sat::equivalence_result::equivalent;
+                decide(sat::check_equivalence(optimized, golden),
+                       cancellation_token{});
                 method = "sat-cold";
             }
         } else if (opt.verify != "none") {
@@ -765,7 +794,13 @@ int main(int argc, char** argv)
         }
         if (!opt.report.empty())
             write_report(opt.report, opt.input, result, verified, method,
+                         verify_label(method, !undecided.empty()),
                          verify_checks);
+        if (!undecided.empty()) {
+            std::fprintf(stderr, "verification undecided (%s)\n",
+                         undecided.c_str());
+            return exit_failure;
+        }
         if (!verified) {
             std::fprintf(stderr,
                          "FAIL: optimized network is NOT equivalent (%s)\n",
@@ -791,7 +826,7 @@ int main(int argc, char** argv)
                     optimized.num_xors(), and_depth(optimized),
                     result.seconds, result.iterations,
                     result.iterations == 1 ? "" : "s",
-                    verify_label(method));
+                    verify_label(method, false));
         if (result.limit_hit && opt.fail_on_limit)
             return exit_failure;
     } catch (const std::exception& e) {
