@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# CI entry point: tier-1 verify (build + ctest), the micro-benchmark smoke
-# run, a tools/mcx flow smoke test, CLI usage checks, and a documentation
-# link check.
+# CI entry point: tier-1 verify (build + ctest), the shipped MC table
+# regeneration check, the micro-benchmark smoke run, a tools/mcx flow
+# smoke test, CLI usage checks, and a documentation link check.
 #
 # bench_micro_core exits non-zero if the word-parallel fast paths regress
 # below their speedup gates (npn >= 5x, cut enumeration >= 2x, classify
@@ -27,6 +27,17 @@ if nm -C build/libmcx.a | grep -E 'legacy_solver|enumerate_cuts_scalar'; then
     exit 1
 fi
 (cd build && ctest --output-on-failure -j"$(nproc)")
+
+# The shipped MC table (src/db/mc_table.cpp) is generated data: the
+# generator, run from the class enumeration, must reproduce the committed
+# file byte for byte.
+./build/tools/gen_mc_table build/mc_table.cpp
+cmp build/mc_table.cpp src/db/mc_table.cpp || {
+    echo "ci.sh: src/db/mc_table.cpp is stale" \
+         "(regenerate it with ./build/tools/gen_mc_table src/db/mc_table.cpp" \
+         "and commit)" >&2
+    exit 1
+}
 
 # The committed BENCH_micro_core.json is reference data; regenerating it
 # must not change the schema (a bench that grows or renames keys has to
@@ -176,13 +187,14 @@ grep -q '"outcome": "deadline_exceeded"' FLOW_smoke_deadline.json || {
 }
 # A --verify sat check that starts after the deadline fired must not
 # inherit the spent deadline: it still proves the best-effort network,
-# writes it and exits 0.
+# writes it and exits 0.  (des:3's flow takes ~0.4 s unbounded, well past
+# the deadline; its proof ~1 s.)
 timeout 60 ./build/tools/mcx --deadline 0.05 --verify sat --flow mc+xor \
-    gen:adder:64 -o build/adder64_deadline_sat.bench \
+    gen:des:3 -o build/des3_deadline_sat.bench \
     --report FLOW_smoke_deadline_sat.json >/dev/null
 grep -q '"limit_hit": true' FLOW_smoke_deadline_sat.json &&
     grep -q '"verify_label": "proved"' FLOW_smoke_deadline_sat.json &&
-    [ -s build/adder64_deadline_sat.bench ] || {
+    [ -s build/des3_deadline_sat.bench ] || {
     echo "ci.sh: deadline-limited --verify sat run did not prove and emit" >&2
     exit 1
 }

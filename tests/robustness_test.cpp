@@ -15,6 +15,7 @@
 #include "db/sharded_store.h"
 #include "exact/exact_mc.h"
 #include "gen/arithmetic.h"
+#include "gen/des.h"
 #include "io/bench.h"
 #include "sat/solver.h"
 #include "spectral/classification.h"
@@ -264,10 +265,23 @@ TEST_F(robustness, budget_exhausted_entry_cached_as_heuristic)
     EXPECT_EQ(db.exact_entries(), 0u);
 }
 
+/// A full-support 6-input representative, x0x1 ^ x2x3 ^ x0x4x5 (MC 3):
+/// the shipped table (support <= 5) does not hold it, so a miss runs the
+/// exact search.
+truth_table full_support_representative()
+{
+    const auto x = [](uint32_t i) { return truth_table::projection(6, i); };
+    const auto f = (x(0) & x(1)) ^ (x(2) & x(3)) ^ (x(0) & x(4) & x(5));
+    const auto cls = classify_affine(f, {.iteration_limit = 2'000'000});
+    EXPECT_TRUE(cls.success);
+    EXPECT_EQ(cls.representative.support().size(), 6u);
+    return cls.representative;
+}
+
 TEST_F(robustness, cancelled_build_is_not_cached)
 {
     mc_database db;
-    const auto rep = nontrivial_representative();
+    const auto rep = full_support_representative();
     EXPECT_THROW(db.lookup_or_build(rep, stopped_token()), cancelled_error);
     // Nothing was memoized: the slot is marked failed, no synthesis result
     // was recorded.
@@ -279,6 +293,20 @@ TEST_F(robustness, cancelled_build_is_not_cached)
     EXPECT_TRUE(e.optimal);
     EXPECT_EQ(simulate(e.circuit)[0], rep);
     EXPECT_EQ(db.misses(), 2u);
+}
+
+TEST_F(robustness, table_served_miss_ignores_stopped_token)
+{
+    // A miss the shipped table serves runs no search, so a stopped token
+    // has nothing to interrupt: the table entry is returned and memoized.
+    mc_database db;
+    const auto rep = classify_affine(truth_table{3, 0xe8}).representative;
+    const auto& e = db.lookup_or_build(rep, stopped_token());
+    EXPECT_TRUE(e.optimal);
+    EXPECT_EQ(simulate(e.circuit)[0], rep);
+    EXPECT_EQ(db.misses(), 1u);
+    db.lookup_or_build(rep);
+    EXPECT_EQ(db.hits(), 1u);
 }
 
 TEST_F(robustness, db_build_fault_propagates_and_next_lookup_recovers)
@@ -368,13 +396,15 @@ TEST_F(robustness, flow_cancelled_before_start_runs_nothing)
 
 TEST_F(robustness, flow_deadline_yields_verified_best_effort)
 {
-    auto net = cleanup(gen_adder(16));
+    auto net = cleanup(gen_des(4));
     const auto golden = cleanup(net);
     flow_params params;
     params.token = cancellation_token{}.with_timeout(0.05);
     const auto result = run_mc_flow(net, params);
-    // The mc pass on adder:16 takes far longer than 50 ms, so the deadline
-    // fires mid-pass; whatever was committed must still be equivalent.
+    // The mc pass on des:4 takes far longer than 50 ms (its database misses
+    // come from the shipped table, so the time is the rewrite itself), so
+    // the deadline fires mid-pass; whatever was committed must still be
+    // equivalent.
     EXPECT_EQ(result.status, outcome::deadline_exceeded);
     EXPECT_TRUE(result.limit_hit);
     EXPECT_TRUE(random_simulation_equal(cleanup(net), golden, 64, 1));
@@ -382,7 +412,7 @@ TEST_F(robustness, flow_deadline_yields_verified_best_effort)
 
 TEST_F(robustness, pass_deadline_degrades_pass_but_flow_continues)
 {
-    auto net = cleanup(gen_adder(16));
+    auto net = cleanup(gen_des(4));
     const auto golden = cleanup(net);
     flow_params params;
     params.pass_deadline_seconds = 0.05;
