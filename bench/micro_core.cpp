@@ -27,6 +27,7 @@
 #include "npn/npn.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "oracle/check_equivalence.h"
 #include "oracle/cut_enumeration_scalar.h"
 #include "oracle/legacy_solver.h"
 #include "spectral/classification.h"
@@ -641,7 +642,7 @@ int main()
     // The verification pattern of an iterated flow: one golden reference,
     // several optimized snapshots to certify (here the network after each
     // mc+xor flow iteration over adder64).  Cold path: a fresh
-    // whole-network miter per snapshot (check_equivalence, the oracle).
+    // whole-network miter per snapshot (oracle::check_equivalence).
     // Warm path: one incremental_cec whose solver keeps the golden CNF
     // and its learnt clauses across every output of every snapshot.  CI
     // gates on the warm path being >= 2x faster over the sequence.
@@ -674,7 +675,7 @@ int main()
             {
                 const auto start = clock::now();
                 for (const auto& v : versions) {
-                    const auto rep = sat::check_equivalence(v, golden);
+                    const auto rep = oracle::check_equivalence(v, golden);
                     if (rep.result != sat::equivalence_result::equivalent) {
                         std::fprintf(stderr, "FAIL: cold CEC refuted an "
                                              "optimized adder64\n");

@@ -22,7 +22,8 @@ cmake -B build -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build build -j"$(nproc)"
 # The test-only references (tests/oracle/, the mcx_oracle target) must not
 # slip back into the production library.
-if nm -C build/libmcx.a | grep -E 'legacy_solver|enumerate_cuts_scalar'; then
+if nm -C build/libmcx.a | grep -E \
+    'legacy_solver|enumerate_cuts_scalar|check_equivalence|cone_verifier|encode_cones'; then
     echo "ci.sh: libmcx.a contains a test-only oracle symbol" >&2
     exit 1
 fi
@@ -60,21 +61,29 @@ diff -u build/bench_keys_committed.txt build/bench_keys_fresh.txt || {
     -o build/adder16_bench_opt.bench --report FLOW_smoke_bench.json
 
 # Warm incremental SAT verification of an iterated flow: the report must
-# carry the per-check solver records.
+# carry the per-check solver records (every report has per-round keys, so
+# only the verification block itself shows the proof ran).
 ./build/tools/mcx --flow mc+xor --iterate --verify sat gen:adder:16 \
     -o build/adder16_satwarm.bench --report FLOW_smoke_sat.json
-grep -q '"sat_conflicts"' FLOW_smoke_sat.json || {
+python3 - FLOW_smoke_sat.json <<'PY' || {
+import json, sys
+with open(sys.argv[1]) as f:
+    checks = json.load(f).get("verification", {}).get("checks", [])
+assert checks, "no verification.checks records"
+for c in checks:
+    missing = {"index", "sat_conflicts", "warm_start"} - c.keys()
+    assert not missing, f"check record {c} lacks {sorted(missing)}"
+PY
     echo "ci.sh: --verify sat report lacks per-check solver records" >&2
     exit 1
 }
 
-# The cold whole-network miter — the verify path that exercises the
-# SAT solver's preprocessor (docs/sat.md) — must be byte-invisible
-# next to the default simulation check.
-./build/tools/mcx --flow mc+xor --verify sat-cold gen:adder:16 \
-    -o build/adder16_satcold.bench
-cmp build/adder16_opt.bench build/adder16_satcold.bench || {
-    echo "ci.sh: --verify sat-cold run output differs from the default" >&2
+# The SAT proof only verifies: a non-iterated --verify sat run must be
+# byte-identical to the default simulation-checked run.
+./build/tools/mcx --flow mc+xor --verify sat gen:adder:16 \
+    -o build/adder16_sat.bench >/dev/null
+cmp build/adder16_opt.bench build/adder16_sat.bench || {
+    echo "ci.sh: --verify sat run output differs from the default" >&2
     exit 1
 }
 
@@ -207,8 +216,10 @@ fi
 
 # SIGINT smoke: interrupt mcx mid-flow; the cooperative stop must still
 # verify and emit the best-effort network and exit 0, with the report
-# recording the cancellation.
-timeout 60 ./build/tools/mcx --flow mc+xor gen:md5 \
+# recording the cancellation.  `--foreground` makes timeout forward the
+# signal to mcx once; without it timeout also signals its process group,
+# and a second SIGINT is mcx's documented hard kill.
+timeout --foreground 60 ./build/tools/mcx --flow mc+xor gen:md5 \
     -o build/md5_sigint.bench --report FLOW_smoke_sigint.json \
     >build/sigint.log 2>&1 &
 mcx_pid=$!
@@ -256,7 +267,7 @@ fi
 # usage dump.
 help_text=$(./build/tools/mcx --help)
 for flag in --flow --iterate --rounds --cut-size --cut-limit --zero-gain \
-            --verify --report --seed --sat-commits \
+            --verify --report --seed \
             --deadline --pass-deadline --on-limit \
             --trace --progress \
             --threads --bristol --output --list-gens --list-flows; do
@@ -283,6 +294,24 @@ for flag in --no-batch --classify-baseline --incremental-cuts \
         exit 1
     }
 done
+# Bad option values and out-of-range numbers are usage errors (exit 2)
+# found before any pass runs; a generator argument is range-checked
+# before it is narrowed to 32 bits (4294967296 must not wrap to 0).
+while read -r -a args; do
+    status=0
+    out=$(./build/tools/mcx "${args[@]}" 2>/dev/null) || status=$?
+    if [ "$status" -ne 2 ] || grep -q '^  pass ' <<<"$out"; then
+        echo "ci.sh: mcx ${args[*]} exited $status" \
+             "(expected 2 and no pass run)" >&2
+        exit 1
+    fi
+done <<'ARGS'
+--verify bogus gen:adder:4
+--cut-size 9 gen:adder:4
+--cut-size 1 gen:adder:4
+--cut-limit 0 gen:adder:4
+gen:adder:4294967296
+ARGS
 
 # Documentation checks: every file under docs/ is reachable from
 # README.md, and no markdown file references a relative path that does

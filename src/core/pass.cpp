@@ -383,18 +383,15 @@ std::optional<scored_candidate> build_scored_candidate(
                             saved - static_cast<int64_t>(created)};
 }
 
-/// Incremental-evaluate and commit-verification wiring for one round,
-/// derived by generic_round from the maintainer/cache coherence handshake.
-/// `cache_valid` says the surviving entries of `cache` may be consulted
-/// this round (`dirty` is then the maintainer's fanout closure over
-/// everything that changed since they were written).  `verifier`, when
-/// set, SAT-checks every replacement cone against its pre-image before
-/// the substitute commits.
+/// Incremental-evaluate wiring for one round, derived by generic_round
+/// from the maintainer/cache coherence handshake.  `cache_valid` says the
+/// surviving entries of `cache` may be consulted this round (`dirty` is
+/// then the maintainer's fanout closure over everything that changed
+/// since they were written).
 struct round_env {
     evaluate_cache& cache;
     bool cache_valid = false;
     std::span<const uint8_t> dirty{};
-    sat::cone_verifier* verifier = nullptr;
 };
 
 // ------------------------------------------------------- two-phase round
@@ -681,14 +678,8 @@ void run_two_phase_round(xag& net, pass_context& ctx, round_stats& stats,
             full_leaves, n);
         if (!scored)
             continue;
-        bool commit = scored->sig.node() != n &&
-                      scored->gain > (allow_zero_gain ? -1 : 0);
-        if (commit && env.verifier != nullptr &&
-            env.verifier->verify(net, n, scored->sig, full_leaves, 0,
-                                 token) ==
-                sat::equivalence_result::not_equivalent)
-            commit = false; // simulation and SAT disagree: keep the node
-        if (commit) {
+        if (scored->sig.node() != n &&
+            scored->gain > (allow_zero_gain ? -1 : 0)) {
             net.substitute(n, scored->sig);
             net.release_ref(net.resolve(scored->sig));
             ++stats.replacements;
@@ -719,8 +710,7 @@ void run_two_phase_round(xag& net, pass_context& ctx, round_stats& stats,
 template <typename Strategy>
 round_stats generic_round(xag& network, pass_context& ctx, uint32_t cut_size,
                           uint32_t cut_limit, bool allow_zero_gain,
-                          uint32_t num_threads, bool sat_verify,
-                          Strategy strat)
+                          uint32_t num_threads, Strategy strat)
 {
     const auto start = std::chrono::steady_clock::now();
     obs::trace::trace_span round_span{"round"};
@@ -728,13 +718,6 @@ round_stats generic_round(xag& network, pass_context& ctx, uint32_t cut_size,
     stats.ands_before = network.num_ands();
     stats.xors_before = network.num_xors();
     const auto [db_hits0, db_misses0] = strat.db_traffic();
-    uint64_t verify_checks0 = 0, verify_conflicts0 = 0, verify_warm0 = 0;
-    if (sat_verify) {
-        const auto& v = ctx.commit_verifier();
-        verify_checks0 = v.checks();
-        verify_conflicts0 = v.conflicts();
-        verify_warm0 = v.warm_starts();
-    }
 
     // Exceptions from the layers below — cancelled_error unwinding out of
     // a cut sweep or a database build, an injected or organic fault from a
@@ -768,8 +751,6 @@ round_stats generic_round(xag& network, pass_context& ctx, uint32_t cut_size,
         // thread-count independent.
         auto& cache = ctx.eval_cache();
         round_env env{.cache = cache};
-        if (sat_verify)
-            env.verifier = &ctx.commit_verifier();
         env.cache_valid = cache.net == &network &&
                           cache.cut_size == cut_size &&
                           cache.cut_limit == cut_limit &&
@@ -811,12 +792,6 @@ round_stats generic_round(xag& network, pass_context& ctx, uint32_t cut_size,
     const auto [db_hits1, db_misses1] = strat.db_traffic();
     stats.db_hits = db_hits1 - db_hits0;
     stats.db_misses = db_misses1 - db_misses0;
-    if (sat_verify) {
-        const auto& v = ctx.commit_verifier();
-        stats.sat_verifications = v.checks() - verify_checks0;
-        stats.sat_conflicts = v.conflicts() - verify_conflicts0;
-        stats.sat_warm_starts = v.warm_starts() - verify_warm0;
-    }
 
     static const auto rounds_metric = obs::register_metric("rewrite.rounds");
     static const auto replacements_metric =
@@ -972,7 +947,6 @@ round_stats mc_rewrite_round(xag& network, pass_context& ctx,
 {
     return generic_round(network, ctx, params.cut_size, params.cut_limit,
                          params.allow_zero_gain, params.num_threads,
-                         params.sat_verify_commits,
                          mc_strategy{network, ctx.mc_db(), ctx.token});
 }
 
@@ -981,7 +955,6 @@ round_stats size_rewrite_round(xag& network, pass_context& ctx,
 {
     return generic_round(network, ctx, params.cut_size, params.cut_limit,
                          params.allow_zero_gain, params.num_threads,
-                         params.sat_verify_commits,
                          size_strategy{network, ctx.size_db(), ctx.token});
 }
 

@@ -35,7 +35,6 @@
 #include "npn/npn.h"
 #include "par/scratch.h"
 #include "par/thread_pool.h"
-#include "sat/equivalence.h"
 #include "spectral/classification.h"
 #include "xag/cone_batch.h"
 #include "xag/xag.h"
@@ -63,12 +62,6 @@ struct rewrite_params {
     /// for every value (docs/parallel.md), and the default 1 is the
     /// reference run.
     uint32_t num_threads = 1;
-    /// Commit-time SAT verification: check each replacement cone against
-    /// its pre-image miter under assumptions on the context's persistent
-    /// cone_verifier before substituting.  Off by default — simulation
-    /// verification is already exact for cut-bounded cones — but the
-    /// counters it fills (round_stats::sat_*) feed the mcx report.
-    bool sat_verify_commits = false;
     mc_database_params db;
 };
 
@@ -76,8 +69,7 @@ struct size_rewrite_params {
     uint32_t cut_size = 4; ///< NPN-4 database
     uint32_t cut_limit = 12;
     bool allow_zero_gain = false;
-    uint32_t num_threads = 1;        ///< see rewrite_params
-    bool sat_verify_commits = false; ///< see rewrite_params
+    uint32_t num_threads = 1; ///< see rewrite_params
     size_database_params db;
 };
 
@@ -111,10 +103,6 @@ struct round_stats {
     /// quiescent round reports nodes_evaluated == 0.
     uint64_t nodes_evaluated = 0;
     uint64_t nodes_clean = 0;
-    /// Commit-time SAT verification traffic (sat_verify_commits only).
-    uint64_t sat_verifications = 0;
-    uint64_t sat_conflicts = 0;
-    uint64_t sat_warm_starts = 0;
     /// Why the round ended: ok, or the limit/fault that stopped it early.
     /// Non-ok rounds leave the network consistent and function-equivalent —
     /// only the not-yet-visited nodes keep their old structure.
@@ -247,11 +235,6 @@ public:
     /// makes that round evaluate every gate: the full-evaluate oracle.
     evaluate_cache& eval_cache() { return eval_cache_; }
 
-    /// Persistent warm SAT solver for commit-time cone verification
-    /// (rewrite_params::sat_verify_commits); one instance serves every
-    /// round and pass so learnt clauses accumulate across commits.
-    sat::cone_verifier& commit_verifier() { return commit_verifier_; }
-
     /// Worker team of the round engine and the XOR pass: exactly
     /// `num_threads` workers (0 counts as 1), rebuilt only when the
     /// requested count changes.
@@ -290,7 +273,6 @@ private:
     cut_maintainer cut_maint_;
     cone_simulator simulator_;
     evaluate_cache eval_cache_;
-    sat::cone_verifier commit_verifier_;
     std::unique_ptr<thread_pool> pool_;
     std::vector<std::unique_ptr<pass_scratch>> scratch_;
 };

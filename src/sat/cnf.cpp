@@ -2,7 +2,6 @@
 
 #include <optional>
 #include <stdexcept>
-#include <unordered_map>
 
 namespace mcx::sat {
 
@@ -85,83 +84,6 @@ cnf_encoding encode_guarded(solver& s, const xag& network, literal activation,
                             const std::vector<literal>& shared_pis)
 {
     return encode_impl(s, network, shared_pis, activation);
-}
-
-std::vector<literal> encode_cones(solver& s, const xag& network,
-                                  std::span<const uint32_t> leaves,
-                                  std::span<const signal> roots,
-                                  literal activation)
-{
-    const auto emit = [&](std::initializer_list<literal> lits) {
-        std::vector<literal> guarded{lits.begin(), lits.end()};
-        guarded.push_back(~activation);
-        s.add_clause(guarded);
-    };
-
-    std::unordered_map<uint32_t, literal> lit_of_node;
-    lit_of_node.reserve(4 * leaves.size() + 8);
-    // Leaves become free variables shared by every root's cone.
-    for (const auto l : leaves)
-        lit_of_node.emplace(l, literal{s.add_variable(), false});
-
-    // Iterative post-order walk; cones are small (cut-bounded) but the
-    // candidate side may chain through freshly created gates.
-    std::vector<std::pair<uint32_t, bool>> stack;
-    const auto visit = [&](uint32_t root) {
-        if (lit_of_node.count(root))
-            return;
-        stack.emplace_back(root, false);
-        while (!stack.empty()) {
-            auto [n, expanded] = stack.back();
-            stack.pop_back();
-            if (lit_of_node.count(n))
-                continue;
-            if (!network.is_gate(n)) {
-                // Constant or a PI below the cone: the constant gets a
-                // guarded forced-zero variable, a PI a free variable.
-                const literal v{s.add_variable(), false};
-                if (n == 0)
-                    emit({~v});
-                lit_of_node.emplace(n, v);
-                continue;
-            }
-            const auto f0 = network.fanin0(n);
-            const auto f1 = network.fanin1(n);
-            if (!expanded) {
-                stack.emplace_back(n, true);
-                if (!lit_of_node.count(f1.node()))
-                    stack.emplace_back(f1.node(), false);
-                if (!lit_of_node.count(f0.node()))
-                    stack.emplace_back(f0.node(), false);
-                continue;
-            }
-            const auto base_a = lit_of_node.at(f0.node());
-            const auto base_b = lit_of_node.at(f1.node());
-            const auto a = f0.complemented() ? ~base_a : base_a;
-            const auto b = f1.complemented() ? ~base_b : base_b;
-            const literal y{s.add_variable(), false};
-            if (network.is_and(n)) {
-                emit({~y, a});
-                emit({~y, b});
-                emit({y, ~a, ~b});
-            } else {
-                emit({~y, a, b});
-                emit({~y, ~a, ~b});
-                emit({y, ~a, b});
-                emit({y, a, ~b});
-            }
-            lit_of_node.emplace(n, y);
-        }
-    };
-
-    std::vector<literal> root_lits;
-    root_lits.reserve(roots.size());
-    for (const auto r : roots) {
-        visit(r.node());
-        const auto base = lit_of_node.at(r.node());
-        root_lits.push_back(r.complemented() ? ~base : base);
-    }
-    return root_lits;
 }
 
 } // namespace mcx::sat

@@ -4,7 +4,6 @@
 #include "sat/solver.h"
 #include "xag/xag.h"
 
-#include <span>
 #include <vector>
 
 namespace mcx::sat {
@@ -28,16 +27,5 @@ cnf_encoding encode(solver& s, const xag& network,
 /// session at once (the incremental-CEC idiom, src/sat/equivalence.h).
 cnf_encoding encode_guarded(solver& s, const xag& network, literal activation,
                             const std::vector<literal>& shared_pis = {});
-
-/// Encode the cones of `roots` down to `leaves` in one network: each leaf
-/// (and any PI reached below the roots) becomes a free variable shared by
-/// all roots, interior gates get guarded Tseitin clauses.  Returns one
-/// literal per root.  Used for commit-time replacement verification, where
-/// the old root cone and the candidate cone live in the same network over
-/// the same leaf set.
-std::vector<literal> encode_cones(solver& s, const xag& network,
-                                  std::span<const uint32_t> leaves,
-                                  std::span<const signal> roots,
-                                  literal activation);
 
 } // namespace mcx::sat

@@ -6,63 +6,6 @@
 
 namespace mcx::sat {
 
-equivalence_report check_equivalence(const xag& a, const xag& b,
-                                     uint64_t conflict_budget)
-{
-    if (a.num_pis() != b.num_pis() || a.num_pos() != b.num_pos())
-        throw std::invalid_argument{
-            "check_equivalence: interface mismatch"};
-
-    // A cold miter is built once and solved once: exactly the pattern the
-    // solver's bounded preprocessor is sound for.  Warm sessions
-    // (incremental_cec, cone_verifier below) must NOT enable it — they
-    // keep adding clauses and solving under assumptions.
-    solver s{sat_params{.preprocess = true}};
-    std::vector<literal> pis;
-    pis.reserve(a.num_pis());
-    for (uint32_t i = 0; i < a.num_pis(); ++i)
-        pis.push_back(literal{s.add_variable(), false});
-
-    const auto enc_a = encode(s, a, pis);
-    const auto enc_b = encode(s, b, pis);
-
-    // Miter: OR over pairwise XOR of outputs must be satisfiable for a
-    // difference to exist.
-    std::vector<literal> any_diff;
-    any_diff.reserve(a.num_pos());
-    for (uint32_t i = 0; i < a.num_pos(); ++i) {
-        const auto x = enc_a.po_literals[i];
-        const auto y = enc_b.po_literals[i];
-        const literal d{s.add_variable(), false};
-        s.add_clause({~d, x, y});
-        s.add_clause({~d, ~x, ~y});
-        s.add_clause({d, ~x, y});
-        s.add_clause({d, x, ~y});
-        any_diff.push_back(d);
-    }
-    s.add_clause(any_diff);
-
-    equivalence_report report;
-    switch (s.solve(conflict_budget)) {
-    case solve_result::unsatisfiable:
-        report.result = equivalence_result::equivalent;
-        break;
-    case solve_result::satisfiable: {
-        report.result = equivalence_result::not_equivalent;
-        std::vector<bool> cex(a.num_pis());
-        for (uint32_t i = 0; i < a.num_pis(); ++i)
-            cex[i] = s.model_value(pis[i].var());
-        report.counterexample = std::move(cex);
-        break;
-    }
-    case solve_result::undecided:
-        report.result = equivalence_result::undecided;
-        break;
-    }
-    report.stats = s.stats();
-    return report;
-}
-
 // ------------------------------------------------------- incremental_cec
 
 incremental_cec::incremental_cec(const xag& golden, uint32_t rebuild_growth)
@@ -232,61 +175,6 @@ equivalence_report incremental_cec::check(const xag& optimized,
     // different candidate arrives or the GC rebuild fires.
     report.stats = solver_->stats();
     return report;
-}
-
-// -------------------------------------------------------- cone_verifier
-
-equivalence_result cone_verifier::verify(const xag& network,
-                                         uint32_t old_root,
-                                         signal replacement,
-                                         std::span<const uint32_t> leaves,
-                                         uint64_t conflict_budget,
-                                         const cancellation_token& token)
-{
-    if (!solver_ || solver_->num_vars() > rebuild_after_vars_) {
-        // Cone sessions share no variables, so nothing migrates: a fresh
-        // solver IS the garbage collection.
-        solver_ = std::make_unique<solver>();
-        if (warm_)
-            ++rebuilds_;
-        warm_ = false;
-    }
-
-    const literal act{solver_->add_variable(), false};
-    const std::array<signal, 2> roots{signal{old_root, false}, replacement};
-    const auto root_lits =
-        encode_cones(*solver_, network, leaves, roots, act);
-
-    // Miter literal: m <-> (old != new), guarded by the session.
-    const auto x = root_lits[0];
-    const auto y = root_lits[1];
-    const literal m{solver_->add_variable(), false};
-    solver_->add_clause({~m, x, y, ~act});
-    solver_->add_clause({~m, ~x, ~y, ~act});
-    solver_->add_clause({m, ~x, y, ~act});
-    solver_->add_clause({m, x, ~y, ~act});
-
-    const auto before = solver_->stats().conflicts;
-    const std::array<literal, 2> assumptions{act, m};
-    const auto res = solver_->solve(assumptions, conflict_budget, token);
-    const auto delta = solver_->stats().conflicts - before;
-    records_.push_back(
-        {static_cast<uint32_t>(checks_), delta, warm_});
-    ++checks_;
-    conflicts_ += delta;
-    if (warm_)
-        ++warm_starts_;
-    warm_ = true;
-    solver_->add_clause({~act}); // retire the session
-
-    switch (res) {
-    case solve_result::unsatisfiable:
-        return equivalence_result::equivalent;
-    case solve_result::satisfiable:
-        return equivalence_result::not_equivalent;
-    default:
-        return equivalence_result::undecided;
-    }
 }
 
 } // namespace mcx::sat

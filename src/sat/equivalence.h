@@ -1,17 +1,13 @@
 // Formal combinational equivalence checking via SAT miters.
 //
-// Three entry points, coldest to warmest:
-//   - check_equivalence(): fresh solver, whole-network pairwise-XOR miter,
-//     single solve.  The oracle everything else is measured against.
-//   - incremental_cec: one persistent solver holds the golden network's
-//     CNF; each check() encodes the candidate as a retirable activation
-//     session and decides the outputs one by one under assumptions, so
-//     learnt clauses accumulate across outputs AND across checks.  A
-//     variable remapper rebuilds the solver when retired-session garbage
-//     dominates, migrating learnt clauses over golden variables.
-//   - cone_verifier: commit-time replacement checking — only the replaced
-//     cone is mitered against its pre-image over shared leaf variables,
-//     on a persistent solver warmed by previous commits.
+// incremental_cec is the one whole-network prover: one persistent solver
+// holds the golden network's CNF; each check() encodes the candidate as a
+// retirable activation session and decides the outputs one by one under
+// assumptions, so learnt clauses accumulate across outputs AND across
+// checks.  A variable remapper rebuilds the solver when retired-session
+// garbage dominates, migrating learnt clauses over golden variables.  The
+// cold single-solve miter it is checked against lives with the tests
+// (tests/oracle/check_equivalence.h).
 #pragma once
 
 #include "core/budget.h"
@@ -21,7 +17,6 @@
 
 #include <memory>
 #include <optional>
-#include <span>
 #include <vector>
 
 namespace mcx::sat {
@@ -42,15 +37,10 @@ struct equivalence_report {
 /// One solve in an incremental verification sequence (schema mirrored in
 /// the mcx --report `verification.checks` array, docs/artifacts.md).
 struct verification_record {
-    uint32_t index = 0;          ///< output index / commit sequence number
+    uint32_t index = 0;          ///< output index
     uint64_t sat_conflicts = 0;  ///< conflicts spent on this solve alone
     bool warm_start = false;     ///< solver carried state from earlier solves
 };
-
-/// Build the pairwise-XOR miter of two networks over shared inputs and
-/// decide it.  `conflict_budget` = 0 runs to completion.
-equivalence_report check_equivalence(const xag& a, const xag& b,
-                                     uint64_t conflict_budget = 0);
 
 /// Warm whole-network CEC against a fixed golden reference.  The golden
 /// network is encoded once; every `check()` call verifies one candidate
@@ -110,49 +100,6 @@ private:
     uint64_t rebuilds_ = 0;
     uint64_t session_reuses_ = 0;
     live_session session_;
-    std::vector<verification_record> records_;
-};
-
-/// Commit-time cone verification: is `replacement` equivalent to the cone
-/// rooted at `old_root` over the shared `leaves`?  Both cones live in the
-/// same network (the candidate is built before the substitution commits).
-/// One persistent solver serves all commits; each check is a retirable
-/// activation session and the solver is rebuilt once dead session
-/// variables dominate.
-class cone_verifier {
-public:
-    /// `rebuild_after_vars`: variable count that triggers a fresh solver.
-    explicit cone_verifier(uint32_t rebuild_after_vars = 1u << 16)
-        : rebuild_after_vars_{rebuild_after_vars}
-    {
-    }
-
-    equivalence_result verify(const xag& network, uint32_t old_root,
-                              signal replacement,
-                              std::span<const uint32_t> leaves,
-                              uint64_t conflict_budget = 0,
-                              const cancellation_token& token = {});
-
-    const std::vector<verification_record>& records() const
-    {
-        return records_;
-    }
-    uint64_t rebuilds() const { return rebuilds_; }
-    uint32_t num_vars() const { return solver_ ? solver_->num_vars() : 0; }
-
-    /// Aggregate counters (cheap to poll per round).
-    uint64_t checks() const { return checks_; }
-    uint64_t conflicts() const { return conflicts_; }
-    uint64_t warm_starts() const { return warm_starts_; }
-
-private:
-    uint32_t rebuild_after_vars_;
-    std::unique_ptr<solver> solver_;
-    bool warm_ = false;
-    uint64_t checks_ = 0;
-    uint64_t conflicts_ = 0;
-    uint64_t warm_starts_ = 0;
-    uint64_t rebuilds_ = 0;
     std::vector<verification_record> records_;
 };
 

@@ -50,9 +50,9 @@ struct solver_stats {
 /// `preprocess` enables the bounded one-shot preprocessor (subsumption +
 /// self-subsumption + bounded variable elimination with model
 /// reconstruction).  It is only sound for the build-once/solve pattern —
-/// exact-synthesis encodings and cold CEC miters — and must stay off for
-/// warm incremental sessions that keep adding clauses and solving under
-/// assumptions (`incremental_cec`, `cone_verifier`).
+/// exact-synthesis encodings and the cold test-oracle CEC miter — and
+/// must stay off for warm incremental sessions that keep adding clauses
+/// and solving under assumptions (`incremental_cec`).
 struct sat_params {
     bool preprocess = false;
 };

@@ -4,9 +4,7 @@
 // to the full-evaluate oracle at every thread count, across
 // generator families and randomized network surgery — and it must go
 // fully quiescent (zero nodes evaluated) on the steady-state round after
-// convergence.  The commit-time SAT verifier rides along: with exact
-// cut functions it can never refute a candidate, so enabling it must not
-// change a single byte of output either.
+// convergence.
 #include "core/flow.h"
 #include "gen/aes.h"
 #include "gen/arithmetic.h"
@@ -125,25 +123,6 @@ TEST(evaluate_differential, iterated_flow_across_passes)
     params.iterate_until_convergence = true;
     expect_evaluate_invariant(gen_adder(12), "iterated-adder12", params,
                               "mc+xor");
-}
-
-TEST(evaluate_differential, sat_verified_commits_change_nothing)
-{
-    // Evaluation scores candidates with exact cut truth tables, so the
-    // commit-time SAT check can never refute one: turning it on must be
-    // byte-invisible (it may only cost time).
-    for (const uint32_t threads : {1u, 2u}) {
-        flow_params plain;
-        flow_params checked;
-        checked.rewrite.sat_verify_commits = true;
-        checked.size_rewrite.sat_verify_commits = true;
-        const auto [off, repl_off] =
-            optimize(gen_adder(16), threads, true, plain);
-        const auto [on, repl_on] =
-            optimize(gen_adder(16), threads, true, checked);
-        EXPECT_EQ(on, off) << threads << " threads";
-        EXPECT_EQ(repl_on, repl_off) << threads << " threads";
-    }
 }
 
 // --------------------------------------------- randomized surgery fuzz

@@ -11,7 +11,7 @@
 #include "gen/lightweight.h"
 #include "io/bench.h"
 #include "io/bristol.h"
-#include "sat/equivalence.h"
+#include "oracle/check_equivalence.h"
 #include "spectral/classification.h"
 #include "xag/cleanup.h"
 #include "xag/depth.h"
@@ -74,7 +74,7 @@ TEST(integration, optimize_then_export_bristol_sat_equivalent)
     write_bristol(optimized, buffer);
     const auto reparsed = read_bristol(buffer);
 
-    const auto report = sat::check_equivalence(reparsed, golden);
+    const auto report = oracle::check_equivalence(reparsed, golden);
     EXPECT_EQ(report.result, sat::equivalence_result::equivalent);
 }
 

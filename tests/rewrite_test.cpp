@@ -1,6 +1,6 @@
 #include "core/mffc.h"
 #include "core/pass.h"
-#include "sat/equivalence.h"
+#include "oracle/check_equivalence.h"
 #include "xag/cleanup.h"
 #include "xag/depth.h"
 #include "xag/simulate.h"
@@ -185,7 +185,7 @@ TEST(mc_rewrite_suite, formal_equivalence_after_rewrite)
     const auto golden = cleanup(net);
     pass_context ctx;
     mc_rewrite_pass{}.run(net, ctx);
-    const auto report = sat::check_equivalence(cleanup(net), golden);
+    const auto report = oracle::check_equivalence(cleanup(net), golden);
     EXPECT_EQ(report.result, sat::equivalence_result::equivalent);
 }
 

@@ -1,5 +1,5 @@
-#include "core/fault_inject.h"
 #include "obs/metrics.h"
+#include "oracle/check_equivalence.h"
 #include "oracle/legacy_solver.h"
 #include "sat/cnf.h"
 #include "sat/equivalence.h"
@@ -251,7 +251,7 @@ TEST(equivalence_check, equal_networks)
         const auto z = b.create_pi();
         b.create_po(b.create_maj(x, y, z)); // 1-AND variant
     }
-    const auto report = check_equivalence(a, b);
+    const auto report = oracle::check_equivalence(a, b);
     EXPECT_EQ(report.result, equivalence_result::equivalent);
     EXPECT_FALSE(report.counterexample.has_value());
 }
@@ -270,7 +270,7 @@ TEST(equivalence_check, different_networks_give_counterexample)
         const auto y = b.create_pi();
         b.create_po(b.create_or(x, y));
     }
-    const auto report = check_equivalence(a, b);
+    const auto report = oracle::check_equivalence(a, b);
     ASSERT_EQ(report.result, equivalence_result::not_equivalent);
     ASSERT_TRUE(report.counterexample.has_value());
     const auto& cex = *report.counterexample;
@@ -285,7 +285,7 @@ TEST(equivalence_check, interface_mismatch_throws)
     a.create_po(a.create_pi());
     xag b;
     b.create_po(b.create_and(b.create_pi(), b.create_pi()));
-    EXPECT_THROW(check_equivalence(a, b), std::invalid_argument);
+    EXPECT_THROW(oracle::check_equivalence(a, b), std::invalid_argument);
 }
 
 TEST(equivalence_check, multi_output_adders)
@@ -308,7 +308,7 @@ TEST(equivalence_check, multi_output_adders)
         net.create_po(carry);
         return net;
     };
-    const auto report = check_equivalence(build(false), build(true));
+    const auto report = oracle::check_equivalence(build(false), build(true));
     EXPECT_EQ(report.result, equivalence_result::equivalent);
 }
 
@@ -441,7 +441,7 @@ TEST(incremental_cec_check, differential_against_cold_oracle)
     const xag* candidates[] = {&equivalent, &equivalent, &golden};
     for (const auto* c : candidates) {
         const auto warm = cec.check(*c);
-        const auto cold = check_equivalence(*c, golden);
+        const auto cold = oracle::check_equivalence(*c, golden);
         EXPECT_EQ(warm.result, cold.result);
         EXPECT_EQ(warm.result, equivalence_result::equivalent);
     }
@@ -548,69 +548,6 @@ TEST(incremental_cec_check, gc_rebuild_preserves_answers)
             << "check " << i;
     }
     EXPECT_GE(cec.rebuilds(), 1u);
-}
-
-// ----------------------------------------------- cone verifier (commit)
-
-TEST(cone_verifier_check, equivalent_and_broken_cones)
-{
-    // net computes po = (a & b) ^ c; replace the AND cone with the
-    // equivalent ~(~ab) form, then with a broken one.
-    xag net;
-    const auto a = net.create_pi();
-    const auto b = net.create_pi();
-    const auto c = net.create_pi();
-    const auto g = net.create_and(a, b);
-    net.create_po(net.create_xor(g, c));
-
-    const std::vector<uint32_t> leaves{a.node(), b.node()};
-    cone_verifier verifier;
-
-    // x & y == x ^ (x & ~y): an equivalent replacement cone.
-    const auto equivalent =
-        net.create_xor(a, net.create_and(a, !b));
-    EXPECT_EQ(verifier.verify(net, g.node(), equivalent, leaves),
-              equivalence_result::equivalent);
-
-    // x | y is not x & y.
-    const auto wrong = !net.create_and(!a, !b);
-    EXPECT_EQ(verifier.verify(net, g.node(), wrong, leaves),
-              equivalence_result::not_equivalent);
-
-    // Warm solver state from the failures must not poison later checks.
-    EXPECT_EQ(verifier.verify(net, g.node(), equivalent, leaves),
-              equivalence_result::equivalent);
-    EXPECT_EQ(verifier.checks(), 3u);
-    EXPECT_GE(verifier.warm_starts(), 2u);
-    EXPECT_EQ(verifier.records().size(), 3u);
-}
-
-TEST(cone_verifier_check, undecided_on_injected_budget_exhaustion)
-{
-    // Deterministically force solve() to report budget exhaustion: the
-    // verifier must surface `undecided`, and the caller contract (commit
-    // layer treats undecided as "simulation remains authoritative") makes
-    // that a safe degradation.
-    xag net;
-    const auto a = net.create_pi();
-    const auto b = net.create_pi();
-    const auto g = net.create_and(a, b);
-    net.create_po(g);
-    const std::vector<uint32_t> leaves{a.node(), b.node()};
-
-    cone_verifier verifier;
-    fault_injection::arm(fault_site::sat_budget, 1);
-    const auto res = verifier.verify(net, g.node(),
-                                     net.create_xor(a, net.create_and(a, !b)),
-                                     leaves);
-    fault_injection::disarm_all();
-    EXPECT_EQ(res, equivalence_result::undecided);
-
-    // The verifier recovers once the budget pressure is gone.
-    EXPECT_EQ(verifier.verify(net, g.node(),
-                              net.create_xor(a, net.create_and(a, !b)),
-                              leaves),
-              equivalence_result::equivalent);
 }
 
 // ------------------------------------ solver-vs-legacy-oracle differential

@@ -43,6 +43,7 @@
 
 #include <chrono>
 #include <condition_variable>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -64,6 +65,20 @@ struct generator_entry {
     const char* usage; ///< e.g. "adder:<bits>"
     std::function<xag(const std::vector<uint32_t>&)> make;
 };
+
+/// The unsigned decimal `text` as a full 64-bit value, or nothing if
+/// `text` is not one; callers range-check it before narrowing.
+std::optional<uint64_t> parse_number(const std::string& text)
+{
+    try {
+        size_t consumed = 0;
+        const auto n = std::stoull(text, &consumed);
+        if (consumed == text.size())
+            return n;
+    } catch (const std::exception&) {
+    }
+    return std::nullopt;
+}
 
 uint32_t arg_at(const std::vector<uint32_t>& args, size_t i, uint32_t dflt)
 {
@@ -132,6 +147,8 @@ const std::vector<generator_entry>& generators()
     return table;
 }
 
+/// Nothing for an unknown generator name; throws std::invalid_argument
+/// for an argument that is not a number in 0..2^32-1.
 std::optional<xag> make_generator_circuit(const std::string& spec)
 {
     // spec = gen:<name>[:<uint>...]
@@ -149,8 +166,14 @@ std::optional<xag> make_generator_circuit(const std::string& spec)
     if (parts.size() < 2 || parts[0] != "gen")
         return std::nullopt;
     std::vector<uint32_t> args;
-    for (size_t i = 2; i < parts.size(); ++i)
-        args.push_back(static_cast<uint32_t>(std::stoul(parts[i])));
+    for (size_t i = 2; i < parts.size(); ++i) {
+        const auto n = parse_number(parts[i]);
+        if (!n || *n > UINT32_MAX)
+            throw std::invalid_argument{"generator argument '" + parts[i] +
+                                        "' is not a number in 0.." +
+                                        std::to_string(UINT32_MAX)};
+        args.push_back(static_cast<uint32_t>(*n));
+    }
     for (const auto& g : generators())
         if (parts[1] == g.name)
             return g.make(args);
@@ -238,8 +261,6 @@ void write_report(const std::string& path, const std::string& input,
                     "\"cut_nodes_reenumerated\": %llu, "
                     "\"cut_nodes_clean\": %llu, "
                     "\"nodes_evaluated\": %llu, \"nodes_clean\": %llu, "
-                    "\"sat_verifications\": %llu, \"sat_conflicts\": %llu, "
-                    "\"sat_warm_starts\": %llu, "
                     "\"canon_cache_hit_rate\": %.4f, \"db_hits\": %llu, "
                     "\"db_misses\": %llu}%s\n",
                     rs.ands_before, rs.ands_after,
@@ -253,9 +274,6 @@ void write_report(const std::string& path, const std::string& input,
                         rs.cut_stats.clean_nodes),
                     static_cast<unsigned long long>(rs.nodes_evaluated),
                     static_cast<unsigned long long>(rs.nodes_clean),
-                    static_cast<unsigned long long>(rs.sat_verifications),
-                    static_cast<unsigned long long>(rs.sat_conflicts),
-                    static_cast<unsigned long long>(rs.sat_warm_starts),
                     rs.canon_cache_hit_rate(),
                     static_cast<unsigned long long>(rs.db_hits),
                     static_cast<unsigned long long>(rs.db_misses),
@@ -391,15 +409,12 @@ void usage(FILE* out)
         "                          size-baseline, cleanup (default: mc)\n"
         "  --rounds <n>            max rounds per rewrite pass (default 100)\n"
         "  --cut-size <k>          cut size 2..6 (default 6; size-baseline 4)\n"
-        "  --cut-limit <l>         cuts kept per node (default 12)\n"
+        "  --cut-limit <l>         cuts kept per node, >= 1 (default 12)\n"
         "  --zero-gain             accept zero-gain replacements\n"
         "  --iterate               repeat the flow until AND convergence\n"
         "  -j, --threads <n>       run the passes on n workers (default 1;\n"
         "                          output is bit-identical for any n — see\n"
         "                          docs/parallel.md)\n"
-        "  --sat-commits <m>       on | off (default): SAT-check every\n"
-        "                          replacement cone at commit time on a warm\n"
-        "                          persistent solver (docs/robustness.md)\n"
         "\n"
         "resource limits (docs/robustness.md):\n"
         "  --deadline <sec>        wall-clock budget for the whole flow; on\n"
@@ -421,7 +436,6 @@ void usage(FILE* out)
         "  --bristol               Bristol-fashion input (and output)\n"
         "  --verify <m>            sim (default) | sat (warm incremental\n"
         "                          CEC, one solver across outputs) |\n"
-        "                          sat-cold (fresh whole-network miter) |\n"
         "                          none; the summary line says proved,\n"
         "                          sampled (sim above 16 inputs) or\n"
         "                          unverified.  A sat check that\n"
@@ -505,19 +519,25 @@ int main(int argc, char** argv)
             }
             return argv[++i];
         };
-        const auto next_number = [&]() -> uint64_t {
+        // Range-checked on the 64-bit value, so a caller may narrow it.
+        const auto next_number = [&](uint64_t lo = 0,
+                                     uint64_t hi = UINT64_MAX) -> uint64_t {
             const char* value = next();
-            try {
-                size_t consumed = 0;
-                const auto n = std::stoull(value, &consumed);
-                if (consumed != std::strlen(value))
-                    throw std::invalid_argument{value};
-                return n;
-            } catch (const std::exception&) {
+            const auto n = parse_number(value);
+            if (!n) {
                 std::fprintf(stderr, "error: %s needs a number, got '%s'\n",
                              arg.c_str(), value);
                 std::exit(exit_usage);
             }
+            if (*n < lo || *n > hi) {
+                std::fprintf(stderr,
+                             "error: %s needs a value in %llu..%llu, got "
+                             "'%s'\n",
+                             arg.c_str(), static_cast<unsigned long long>(lo),
+                             static_cast<unsigned long long>(hi), value);
+                std::exit(exit_usage);
+            }
+            return *n;
         };
         const auto next_seconds = [&]() -> double {
             const char* value = next();
@@ -551,13 +571,14 @@ int main(int argc, char** argv)
         if (arg == "--flow")
             opt.flow_spec = next();
         else if (arg == "--rounds")
-            opt.params.max_rounds = static_cast<uint32_t>(next_number());
+            opt.params.max_rounds =
+                static_cast<uint32_t>(next_number(0, UINT32_MAX));
         else if (arg == "--cut-size") {
-            const auto k = static_cast<uint32_t>(next_number());
+            const auto k = static_cast<uint32_t>(next_number(2, 6));
             opt.params.rewrite.cut_size = k;
             opt.params.size_rewrite.cut_size = std::min(k, 4u);
         } else if (arg == "--cut-limit") {
-            const auto l = static_cast<uint32_t>(next_number());
+            const auto l = static_cast<uint32_t>(next_number(1, UINT32_MAX));
             opt.params.rewrite.cut_limit = l;
             opt.params.size_rewrite.cut_limit = l;
         } else if (arg == "--zero-gain") {
@@ -565,25 +586,10 @@ int main(int argc, char** argv)
             opt.params.size_rewrite.allow_zero_gain = true;
         } else if (arg == "--iterate")
             opt.iterate = true;
-        else if (arg == "-j" || arg == "--threads") {
-            const auto n = static_cast<uint32_t>(next_number());
-            if (n == 0) {
-                std::fprintf(stderr,
-                             "error: --threads needs a value >= 1\n");
-                return exit_usage;
-            }
-            opt.params.num_threads = n;
-        } else if (arg == "--sat-commits") {
-            const std::string mode = next();
-            if (mode != "on" && mode != "off") {
-                std::fprintf(stderr,
-                             "error: --sat-commits needs on|off, got '%s'\n",
-                             mode.c_str());
-                return exit_usage;
-            }
-            opt.params.rewrite.sat_verify_commits = mode == "on";
-            opt.params.size_rewrite.sat_verify_commits = mode == "on";
-        } else if (arg == "--deadline")
+        else if (arg == "-j" || arg == "--threads")
+            opt.params.num_threads =
+                static_cast<uint32_t>(next_number(1, UINT32_MAX));
+        else if (arg == "--deadline")
             opt.deadline_seconds = next_seconds();
         else if (arg == "--pass-deadline")
             opt.pass_deadline_seconds = next_seconds();
@@ -595,9 +601,16 @@ int main(int argc, char** argv)
             opt.output = next();
         else if (arg == "--bristol")
             opt.bristol = true;
-        else if (arg == "--verify")
+        else if (arg == "--verify") {
             opt.verify = next();
-        else if (arg == "--report")
+            if (opt.verify != "sim" && opt.verify != "sat" &&
+                opt.verify != "none") {
+                std::fprintf(stderr,
+                             "error: --verify needs sim|sat|none, got '%s'\n",
+                             opt.verify.c_str());
+                return exit_usage;
+            }
+        } else if (arg == "--report")
             opt.report = next();
         else if (arg == "--trace")
             opt.trace_path = next();
@@ -665,8 +678,9 @@ int main(int argc, char** argv)
             std::optional<xag> made;
             try {
                 made = make_generator_circuit(opt.input);
-            } catch (const std::exception&) {
-                // stoul on a non-numeric generator argument
+            } catch (const std::invalid_argument& e) {
+                std::fprintf(stderr, "error: %s\n", e.what());
+                return exit_usage;
             }
             if (!made) {
                 std::fprintf(stderr,
@@ -737,8 +751,7 @@ int main(int argc, char** argv)
                                 ? to_string(token.stop_reason())
                                 : "solver budget exhausted";
         };
-        if (opt.verify == "sim" || opt.verify == "sat" ||
-            opt.verify == "sat-cold") {
+        if (opt.verify != "none") {
             if (optimized.num_pis() <= 16) {
                 verified = exhaustive_equal(optimized, golden);
                 method = "exhaustive";
@@ -764,15 +777,7 @@ int main(int argc, char** argv)
                 decide(cec.check(optimized, 0, token), token);
                 verify_checks = cec.records();
                 method = "sat";
-            } else if (verified && opt.verify == "sat-cold") {
-                decide(sat::check_equivalence(optimized, golden),
-                       cancellation_token{});
-                method = "sat-cold";
             }
-        } else if (opt.verify != "none") {
-            std::fprintf(stderr, "error: unknown --verify mode '%s'\n",
-                         opt.verify.c_str());
-            return exit_usage;
         }
 
         if (!opt.trace_path.empty()) {
