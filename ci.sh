@@ -62,19 +62,36 @@ diff -u build/bench_keys_committed.txt build/bench_keys_fresh.txt || {
 
 # Warm incremental SAT verification of an iterated flow: the report must
 # carry the per-check solver records (every report has per-round keys, so
-# only the verification block itself shows the proof ran).
+# only the verification block itself shows the proof ran), and the sweep's
+# conflicts plus the checks' must add up to the solver's total.
 ./build/tools/mcx --flow mc+xor --iterate --verify sat gen:adder:16 \
     -o build/adder16_satwarm.bench --report FLOW_smoke_sat.json
 python3 - FLOW_smoke_sat.json <<'PY' || {
 import json, sys
 with open(sys.argv[1]) as f:
-    checks = json.load(f).get("verification", {}).get("checks", [])
+    verification = json.load(f).get("verification", {})
+checks = verification.get("checks", [])
 assert checks, "no verification.checks records"
 for c in checks:
     missing = {"index", "sat_conflicts", "warm_start"} - c.keys()
     assert not missing, f"check record {c} lacks {sorted(missing)}"
+sweep = verification["sweep"]
+for key in ["strash_hits", "pairs_tried", "merged", "refuted",
+            "sat_conflicts"]:
+    assert key in sweep, f"verification.sweep lacks {key}"
+total = sweep["sat_conflicts"] + sum(c["sat_conflicts"] for c in checks)
+assert total == verification["solver_conflicts"], \
+    f"sweep + checks = {total} != {verification['solver_conflicts']}"
 PY
-    echo "ci.sh: --verify sat report lacks per-check solver records" >&2
+    echo "ci.sh: --verify sat report lacks consistent solver records" >&2
+    exit 1
+}
+
+# Proof at scale: structural hashing and SAT sweeping prove 16-round DES
+# in seconds (a plain output miter did not finish in 300 s).
+des16_log=$(timeout 60 ./build/tools/mcx --flow mc+xor --threads 4 \
+    --verify sat gen:des:16) && grep -q 'proved' <<<"$des16_log" || {
+    echo "ci.sh: --verify sat did not prove des:16 within 60 s" >&2
     exit 1
 }
 
@@ -121,6 +138,31 @@ for pair in adder16_opt:adder16_par1 adder16_opt:adder16_par4 \
 done
 grep -q '"threads": 4' FLOW_smoke_par.json || {
     echo "ci.sh: FLOW_smoke_par.json lacks the per-pass thread count" >&2
+    exit 1
+}
+# Report reproducibility (docs/artifacts.md, "Schedule-dependent keys"):
+# a second --threads 4 report of the same run must equal the first once
+# timings and exactly the listed schedule-dependent keys are removed.
+./build/tools/mcx --flow mc+xor --threads 4 gen:adder:16 \
+    --report build/adder16_par4_again.json >/dev/null
+python3 - FLOW_smoke_par.json build/adder16_par4_again.json <<'PY' || {
+import json, sys
+TIMINGS = {"total_seconds", "seconds", "cut_seconds", "rewrite_seconds",
+           "process"}
+SCHEDULED = {"canon_cache_hit_rate", "pool.steals"}
+def strip(x):
+    if isinstance(x, dict):
+        return {k: strip(v) for k, v in x.items()
+                if k not in TIMINGS | SCHEDULED
+                and not k.startswith("cache.cls.")}
+    if isinstance(x, list):
+        return [strip(v) for v in x]
+    return x
+first, second = (strip(json.load(open(p))) for p in sys.argv[1:])
+assert first == second, "reports differ"
+PY
+    echo "ci.sh: two --threads 4 reports differ beyond timings and the" \
+         "schedule-dependent keys" >&2
     exit 1
 }
 

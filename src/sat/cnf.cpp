@@ -1,37 +1,73 @@
 #include "sat/cnf.h"
 
-#include <optional>
 #include <stdexcept>
+#include <utility>
 
 namespace mcx::sat {
 
 namespace {
 
-// Shared Tseitin walk; `guard`, when present, is appended (negated) to
-// every emitted clause so the encoding becomes an activation session.
-cnf_encoding encode_impl(solver& s, const xag& network,
-                         const std::vector<literal>& shared_pis,
-                         std::optional<literal> guard)
+/// Tseitin clauses of y = a AND b (`is_and`) or y = a XOR b.  A set
+/// `guard` appends `~guard` to every clause.
+void emit_gate(solver& s, bool is_and, literal y, literal a, literal b,
+               std::optional<literal> guard)
+{
+    const auto emit = [&](std::initializer_list<literal> lits) {
+        literal clause[4];
+        size_t n = 0;
+        for (const auto l : lits)
+            clause[n++] = l;
+        if (guard)
+            clause[n++] = ~*guard;
+        s.add_clause(std::span<const literal>{clause, n});
+    };
+    if (is_and) {
+        emit({~y, a});
+        emit({~y, b});
+        emit({y, ~a, ~b});
+    } else {
+        emit({~y, a, b});
+        emit({~y, ~a, ~b});
+        emit({y, ~a, b});
+        emit({y, a, ~b});
+    }
+}
+
+literal literal_of(const cnf_encoding& enc, signal sig)
+{
+    const auto base = enc.node_literals[sig.node()];
+    return sig.complemented() ? ~base : base;
+}
+
+/// Normalized gate key (see gate_table); `parity` receives the output
+/// complement that XOR normalization moved out of the fanins.
+uint64_t gate_key(bool is_and, literal a, literal b, bool& parity)
+{
+    parity = false;
+    if (!is_and) {
+        parity = a.negative() != b.negative();
+        a = literal{a.var(), false};
+        b = literal{b.var(), false};
+    }
+    if (a.code() > b.code())
+        std::swap(a, b);
+    return (static_cast<uint64_t>(a.code()) << 32) | b.code();
+}
+
+} // namespace
+
+cnf_encoding encode(solver& s, const xag& network,
+                    const std::vector<literal>& shared_pis)
 {
     if (!shared_pis.empty() && shared_pis.size() != network.num_pis())
         throw std::invalid_argument{"encode: wrong number of shared PIs"};
-
-    const auto emit = [&](std::initializer_list<literal> lits) {
-        if (!guard) {
-            s.add_clause(lits);
-            return;
-        }
-        std::vector<literal> guarded{lits.begin(), lits.end()};
-        guarded.push_back(~*guard);
-        s.add_clause(guarded);
-    };
 
     cnf_encoding enc;
     enc.node_literals.assign(network.size(), literal{});
 
     // Constant-false node: a fixed variable forced to 0.
     const literal const_lit{s.add_variable(), false};
-    emit({~const_lit});
+    s.add_clause({~const_lit});
     enc.node_literals[0] = const_lit;
 
     enc.pi_literals.reserve(network.num_pis());
@@ -42,48 +78,82 @@ cnf_encoding encode_impl(solver& s, const xag& network,
         enc.node_literals[network.pi_at(i)] = l;
     }
 
-    const auto lit_of = [&](signal sig) {
-        const auto base = enc.node_literals[sig.node()];
-        return sig.complemented() ? ~base : base;
-    };
-
     for (const auto n : network.topological_order()) {
         if (!network.is_gate(n))
             continue;
-        const auto a = lit_of(network.fanin0(n));
-        const auto b = lit_of(network.fanin1(n));
         const literal y{s.add_variable(), false};
-        if (network.is_and(n)) {
-            emit({~y, a});
-            emit({~y, b});
-            emit({y, ~a, ~b});
-        } else {
-            emit({~y, a, b});
-            emit({~y, ~a, ~b});
-            emit({y, ~a, b});
-            emit({y, a, ~b});
-        }
+        emit_gate(s, network.is_and(n), y,
+                  literal_of(enc, network.fanin0(n)),
+                  literal_of(enc, network.fanin1(n)), std::nullopt);
         enc.node_literals[n] = y;
     }
 
     enc.po_literals.reserve(network.num_pos());
     for (uint32_t i = 0; i < network.num_pos(); ++i)
-        enc.po_literals.push_back(lit_of(network.po_at(i)));
+        enc.po_literals.push_back(literal_of(enc, network.po_at(i)));
     return enc;
 }
 
-} // namespace
-
-cnf_encoding encode(solver& s, const xag& network,
-                    const std::vector<literal>& shared_pis)
+gate_table::gate_table(const xag& network, const cnf_encoding& enc)
 {
-    return encode_impl(s, network, shared_pis, std::nullopt);
+    for (const auto n : network.topological_order()) {
+        if (!network.is_gate(n))
+            continue;
+        const bool is_and = network.is_and(n);
+        bool parity = false;
+        const auto key =
+            gate_key(is_and, literal_of(enc, network.fanin0(n)),
+                     literal_of(enc, network.fanin1(n)), parity);
+        const auto y = enc.node_literals[n];
+        gates_[is_and].emplace(key, parity ? ~y : y);
+    }
 }
 
-cnf_encoding encode_guarded(solver& s, const xag& network, literal activation,
-                            const std::vector<literal>& shared_pis)
+std::optional<literal> gate_table::find(bool is_and, literal a,
+                                        literal b) const
 {
-    return encode_impl(s, network, shared_pis, activation);
+    bool parity = false;
+    const auto& gates = gates_[is_and];
+    const auto it = gates.find(gate_key(is_and, a, b, parity));
+    if (it == gates.end())
+        return std::nullopt;
+    return parity ? ~it->second : it->second;
+}
+
+cnf_encoding encode_merged(solver& s, const xag& network, literal activation,
+                           const cnf_encoding& base, const gate_table& table,
+                           const gate_settler& settle)
+{
+    if (base.pi_literals.size() != network.num_pis())
+        throw std::invalid_argument{"encode_merged: interface mismatch"};
+
+    cnf_encoding enc;
+    enc.node_literals.assign(network.size(), literal{});
+    enc.node_literals[0] = base.node_literals[0];
+    enc.pi_literals = base.pi_literals;
+    for (uint32_t i = 0; i < network.num_pis(); ++i)
+        enc.node_literals[network.pi_at(i)] = base.pi_literals[i];
+
+    for (const auto n : network.topological_order()) {
+        if (!network.is_gate(n))
+            continue;
+        const bool is_and = network.is_and(n);
+        const auto a = literal_of(enc, network.fanin0(n));
+        const auto b = literal_of(enc, network.fanin1(n));
+        if (const auto hit = table.find(is_and, a, b)) {
+            enc.node_literals[n] = *hit;
+            ++enc.strash_hits;
+            continue;
+        }
+        const literal y{s.add_variable(), false};
+        emit_gate(s, is_and, y, a, b, activation);
+        enc.node_literals[n] = settle(n, y);
+    }
+
+    enc.po_literals.reserve(network.num_pos());
+    for (uint32_t i = 0; i < network.num_pos(); ++i)
+        enc.po_literals.push_back(literal_of(enc, network.po_at(i)));
+    return enc;
 }
 
 } // namespace mcx::sat

@@ -1,10 +1,35 @@
 #include "sat/equivalence.h"
 
+#include "xag/simulate.h"
+
 #include <algorithm>
 #include <array>
+#include <random>
 #include <stdexcept>
 
 namespace mcx::sat {
+
+namespace {
+
+/// Simulation words per node signature (64 patterns each).
+constexpr uint32_t sim_words = 8;
+/// Conflict cap of each of the two solves that prove one sweep pair.  A
+/// pair that needs more is left unmerged; the output solves still decide.
+constexpr uint64_t sweep_pair_conflicts = 2000;
+
+/// Hash of a signature normalized up to complement (first bit cleared).
+uint64_t signature_hash(const uint64_t* sig)
+{
+    const uint64_t flip = (sig[0] & 1) != 0 ? ~uint64_t{0} : 0;
+    uint64_t h = 0x9e3779b97f4a7c15ull;
+    for (uint32_t w = 0; w < sim_words; ++w) {
+        h = (h ^ sig[w] ^ flip) * 0xbf58476d1ce4e5b9ull;
+        h ^= h >> 31;
+    }
+    return h;
+}
+
+} // namespace
 
 // ------------------------------------------------------- incremental_cec
 
@@ -13,6 +38,34 @@ incremental_cec::incremental_cec(const xag& golden, uint32_t rebuild_growth)
 {
     rebuild();
     rebuilds_ = 0; // the constructor's build is not a GC event
+
+    // Fixed patterns, so every check of every verifier sweeps alike.
+    std::mt19937_64 rng{0x5eed5eedu};
+    patterns_.resize(size_t{golden.num_pis()} * sim_words);
+    for (auto& w : patterns_)
+        w = rng();
+    golden_sigs_ = simulate_nodes(golden, patterns_, sim_words);
+    // The constant first, then PIs, then gates in topological order: a
+    // signature class keeps the first golden node that has it.
+    sig_index_.emplace(signature_hash(&golden_sigs_[0]), 0);
+    for (const auto v : golden.topological_order())
+        sig_index_.emplace(
+            signature_hash(&golden_sigs_[size_t{v} * sim_words]), v);
+}
+
+std::optional<literal> incremental_cec::golden_match(const uint64_t* sig) const
+{
+    const auto it = sig_index_.find(signature_hash(sig));
+    if (it == sig_index_.end())
+        return std::nullopt;
+    const uint64_t* g = &golden_sigs_[size_t{it->second} * sim_words];
+    const bool flip = ((sig[0] ^ g[0]) & 1) != 0;
+    const uint64_t mask = flip ? ~uint64_t{0} : 0;
+    for (uint32_t w = 0; w < sim_words; ++w)
+        if (sig[w] != (g[w] ^ mask))
+            return std::nullopt; // hash collision
+    const auto l = golden_enc_.node_literals[it->second];
+    return flip ? ~l : l;
 }
 
 void incremental_cec::rebuild()
@@ -44,6 +97,7 @@ void incremental_cec::rebuild()
     for (uint32_t i = 0; i < golden_->num_pis(); ++i)
         pis_.push_back(literal{solver_->add_variable(), false});
     golden_enc_ = encode(*solver_, *golden_, pis_);
+    golden_gates_ = gate_table{*golden_, golden_enc_};
     base_vars_ = solver_->num_vars();
     for (const auto& c : migrated)
         solver_->add_clause(c);
@@ -101,12 +155,33 @@ equivalence_report incremental_cec::check(const xag& optimized,
         static_cast<uint64_t>(rebuild_growth_) * base_vars_)
         rebuild();
 
+    equivalence_report report;
+    report.result = equivalence_result::equivalent;
+    uint64_t spent = 0; // conflicts, against conflict_budget
+    // One solve under `assumptions`, capped at `cap` (0 = none) and at
+    // what is left of the check's budget; nullopt once that is spent.
+    const auto budgeted_solve =
+        [&](std::span<const literal> assumptions,
+            uint64_t cap) -> std::optional<solve_result> {
+        if (conflict_budget != 0) {
+            if (spent >= conflict_budget)
+                return std::nullopt;
+            const auto left = conflict_budget - spent;
+            cap = cap == 0 ? left : std::min(cap, left);
+        }
+        const auto before = solver_->stats().conflicts;
+        const auto res = solver_->solve(assumptions, cap, token);
+        spent += solver_->stats().conflicts - before;
+        warm_ = true;
+        return res;
+    };
+
     // The previous candidate's session is still live.  If this candidate
     // is structurally identical — re-verification in a converged iterated
     // flow — re-solve on the same variables: the session's learnt clauses
     // (which mention its activation and miter literals, so they never
     // migrate) short-circuit every proof they refuted before.  Otherwise
-    // retire the old session and encode this candidate fresh.
+    // retire the old session and merge this candidate in fresh.
     auto shape = shape_of(optimized);
     if (session_.valid && session_.shape == shape) {
         ++session_reuses_;
@@ -115,47 +190,78 @@ equivalence_report incremental_cec::check(const xag& optimized,
             retire(session_.act);
         session_ = {};
         const literal act{solver_->add_variable(), false};
-        const auto opt_enc = encode_guarded(*solver_, optimized, act, pis_);
+        // SAT sweeping: a gate that did not strash onto golden but matches
+        // a golden node's signature (up to complement) is proved equal to
+        // it — y ∧ ¬g and ¬y ∧ g both UNSAT under the session — and its
+        // fanouts then read the golden literal, so the gates above it can
+        // strash in turn.  Every merge is proved; anything else (a model,
+        // the pair cap, a stop) leaves the gate as encoded.
+        const auto sigs = simulate_nodes(optimized, patterns_, sim_words);
+        auto& sweep = report.sweep;
+        bool sweeping = true;
+        const auto settle = [&](uint32_t n, literal y) {
+            const auto g =
+                sweeping ? golden_match(&sigs[size_t{n} * sim_words])
+                         : std::nullopt;
+            if (!g)
+                return y;
+            ++sweep.pairs_tried;
+            const auto conflicts_before = spent;
+            std::optional<solve_result> res;
+            for (const auto& side : {std::array<literal, 3>{act, y, ~*g},
+                                     std::array<literal, 3>{act, ~y, *g}}) {
+                res = budgeted_solve(side, sweep_pair_conflicts);
+                if (res != solve_result::unsatisfiable)
+                    break;
+            }
+            sweep.conflicts += spent - conflicts_before;
+            if (res == solve_result::unsatisfiable) {
+                ++sweep.merged;
+                return *g;
+            }
+            if (res == solve_result::satisfiable)
+                ++sweep.refuted;
+            else if (!res || token.stop_requested())
+                sweeping = false; // budget spent or stopped
+            return y;
+        };
+        const auto enc = encode_merged(*solver_, optimized, act, golden_enc_,
+                                       golden_gates_, settle);
+        sweep.strash_hits = enc.strash_hits;
         session_.valid = true;
         session_.act = act;
-        session_.outputs = opt_enc.po_literals;
+        session_.outputs = enc.po_literals;
+        session_.diffs.assign(golden_->num_pos(), std::nullopt);
         session_.shape = std::move(shape);
     }
     const literal act = session_.act;
 
-    equivalence_report report;
-    report.result = equivalence_result::equivalent;
-    uint64_t spent = 0;
     for (uint32_t i = 0; i < golden_->num_pos(); ++i) {
         const auto x = golden_enc_.po_literals[i];
         const auto y = session_.outputs[i];
-        literal d;
-        if (i < session_.diffs.size()) {
-            d = session_.diffs[i];
-        } else {
+        if (x == y) {
+            // Merged onto the golden output itself: proved, no solve.
+            records_.push_back({i, 0, warm_});
+            continue;
+        }
+        auto& d = session_.diffs[i];
+        if (!d) {
             d = literal{solver_->add_variable(), false};
-            solver_->add_clause({~d, x, y, ~act});
-            solver_->add_clause({~d, ~x, ~y, ~act});
-            solver_->add_clause({d, ~x, y, ~act});
-            solver_->add_clause({d, x, ~y, ~act});
-            session_.diffs.push_back(d);
+            solver_->add_clause({~*d, x, y, ~act});
+            solver_->add_clause({~*d, ~x, ~y, ~act});
+            solver_->add_clause({*d, ~x, y, ~act});
+            solver_->add_clause({*d, x, ~y, ~act});
         }
 
-        uint64_t budget = 0;
-        if (conflict_budget != 0) {
-            if (spent >= conflict_budget) {
-                report.result = equivalence_result::undecided;
-                break;
-            }
-            budget = conflict_budget - spent;
+        const auto before = spent;
+        const bool warm = warm_;
+        const std::array<literal, 2> assumptions{act, *d};
+        const auto res = budgeted_solve(assumptions, 0);
+        if (!res) {
+            report.result = equivalence_result::undecided;
+            break;
         }
-        const auto before = solver_->stats().conflicts;
-        const std::array<literal, 2> assumptions{act, d};
-        const auto res = solver_->solve(assumptions, budget, token);
-        const auto delta = solver_->stats().conflicts - before;
-        spent += delta;
-        records_.push_back({i, delta, warm_});
-        warm_ = true;
+        records_.push_back({i, spent - before, warm});
 
         if (res == solve_result::satisfiable) {
             report.result = equivalence_result::not_equivalent;

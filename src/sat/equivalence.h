@@ -1,13 +1,14 @@
 // Formal combinational equivalence checking via SAT miters.
 //
 // incremental_cec is the one whole-network prover: one persistent solver
-// holds the golden network's CNF; each check() encodes the candidate as a
-// retirable activation session and decides the outputs one by one under
-// assumptions, so learnt clauses accumulate across outputs AND across
-// checks.  A variable remapper rebuilds the solver when retired-session
-// garbage dominates, migrating learnt clauses over golden variables.  The
-// cold single-solve miter it is checked against lives with the tests
-// (tests/oracle/check_equivalence.h).
+// holds the golden network's CNF; each check() merges the candidate into
+// it as a retirable activation session — structural hashing onto golden
+// gates, then SAT sweeping of simulation-matched pairs — and decides the
+// outputs one by one under assumptions, so learnt clauses accumulate
+// across outputs AND across checks.  A variable remapper rebuilds the
+// solver when retired-session garbage dominates, migrating learnt clauses
+// over golden variables.  The cold single-solve miter it is checked
+// against lives with the tests (tests/oracle/check_equivalence.h).
 #pragma once
 
 #include "core/budget.h"
@@ -17,6 +18,7 @@
 
 #include <memory>
 #include <optional>
+#include <unordered_map>
 #include <vector>
 
 namespace mcx::sat {
@@ -27,11 +29,24 @@ enum class equivalence_result : uint8_t {
     undecided ///< conflict budget exhausted
 };
 
+/// How one `incremental_cec::check()` merged the candidate into the golden
+/// encoding (all zero when it re-solved a live session).  Mirrored in the
+/// mcx --report `verification.sweep` object (docs/artifacts.md).
+struct sweep_stats {
+    uint64_t strash_hits = 0; ///< candidate gates that took a golden literal
+    uint64_t pairs_tried = 0; ///< simulation-matched (gate, golden) pairs
+    uint64_t merged = 0;      ///< pairs proved equal; fanouts use golden
+    uint64_t refuted = 0;     ///< pairs a model told apart
+    uint64_t conflicts = 0;   ///< conflicts spent on the sweep's solves
+};
+
 struct equivalence_report {
     equivalence_result result = equivalence_result::undecided;
     /// PI assignment demonstrating a difference (when not equivalent).
     std::optional<std::vector<bool>> counterexample;
+    /// Cumulative stats of the verifier's solver (since its last rebuild).
     solver_stats stats;
+    sweep_stats sweep;
 };
 
 /// One solve in an incremental verification sequence (schema mirrored in
@@ -43,9 +58,11 @@ struct verification_record {
 };
 
 /// Warm whole-network CEC against a fixed golden reference.  The golden
-/// network is encoded once; every `check()` call verifies one candidate
-/// network output-by-output under assumptions on the same solver.  The
-/// caller keeps `golden` alive for the verifier's lifetime.
+/// network is encoded once, with its gate table and random-simulation
+/// signatures; every `check()` call merges one candidate network into that
+/// encoding bottom-up and then verifies it output-by-output under
+/// assumptions on the same solver.  The caller keeps `golden` alive for
+/// the verifier's lifetime.
 class incremental_cec {
 public:
     /// `rebuild_growth`: rebuild (GC) once the solver's variable count
@@ -57,7 +74,8 @@ public:
     explicit incremental_cec(const xag& golden, uint32_t rebuild_growth = 4);
 
     /// Verify `optimized` against the golden reference.  The conflict
-    /// budget is a total across all per-output solves (0 = unbounded).
+    /// budget is a total across the sweep's solves and all per-output
+    /// solves (0 = unbounded); `token` stops either.
     equivalence_report check(const xag& optimized,
                              uint64_t conflict_budget = 0,
                              const cancellation_token& token = {});
@@ -77,6 +95,9 @@ public:
 private:
     void rebuild();
     void retire(literal activation);
+    /// Golden literal whose signature equals candidate signature `sig` up
+    /// to complement (complemented to match), if there is one.
+    std::optional<literal> golden_match(const uint64_t* sig) const;
 
     /// The most recent candidate's encoding stays live (not retired)
     /// so a structurally identical next candidate — every re-check in a
@@ -86,7 +107,9 @@ private:
         bool valid = false;
         literal act{};
         std::vector<literal> outputs; ///< candidate PO literals
-        std::vector<literal> diffs;   ///< per-output miter literals
+        /// Per-output miter literals, made on first use (an output whose
+        /// candidate literal is the golden one needs none).
+        std::vector<std::optional<literal>> diffs;
         std::vector<uint64_t> shape;  ///< exact structural signature
     };
 
@@ -95,6 +118,14 @@ private:
     std::unique_ptr<solver> solver_;
     std::vector<literal> pis_;
     cnf_encoding golden_enc_;
+    gate_table golden_gates_;
+    /// Random-simulation patterns: `sim_words` (equivalence.cpp) words per
+    /// PI, PI-major.
+    std::vector<uint64_t> patterns_;
+    /// Golden signatures under `patterns_`: `sim_words` words per node.
+    std::vector<uint64_t> golden_sigs_;
+    /// Signature hash (complement-normalized) -> first golden node with it.
+    std::unordered_map<uint64_t, uint32_t> sig_index_;
     uint32_t base_vars_ = 0; ///< variables belonging to the golden encoding
     bool warm_ = false;
     uint64_t rebuilds_ = 0;

@@ -1,5 +1,6 @@
 #include "xag/simulate.h"
 
+#include <algorithm>
 #include <stdexcept>
 #include <unordered_map>
 
@@ -38,28 +39,45 @@ std::vector<truth_table> simulate(const xag& network, uint32_t max_vars)
     return outputs;
 }
 
-std::vector<uint64_t> simulate_words(const xag& network,
-                                     std::span<const uint64_t> pi_words)
+std::vector<uint64_t> simulate_nodes(const xag& network,
+                                     std::span<const uint64_t> pi_words,
+                                     uint32_t words)
 {
-    if (pi_words.size() != network.num_pis())
-        throw std::invalid_argument{"simulate_words: one word per PI"};
+    if (pi_words.size() != size_t{network.num_pis()} * words)
+        throw std::invalid_argument{"simulate_nodes: `words` words per PI"};
 
-    std::vector<uint64_t> values(network.size(), 0);
+    std::vector<uint64_t> values(size_t{network.size()} * words, 0);
     for (uint32_t i = 0; i < network.num_pis(); ++i)
-        values[network.pi_at(i)] = pi_words[i];
+        std::copy_n(&pi_words[size_t{i} * words], words,
+                    &values[size_t{network.pi_at(i)} * words]);
 
     for (const auto node : network.topological_order()) {
         if (!network.is_gate(node))
             continue;
         const auto f0 = network.fanin0(node);
         const auto f1 = network.fanin1(node);
-        const auto a = values[f0.node()] ^
-                       (f0.complemented() ? ~uint64_t{0} : 0);
-        const auto b = values[f1.node()] ^
-                       (f1.complemented() ? ~uint64_t{0} : 0);
-        values[node] = network.is_and(node) ? (a & b) : (a ^ b);
+        const uint64_t c0 = f0.complemented() ? ~uint64_t{0} : 0;
+        const uint64_t c1 = f1.complemented() ? ~uint64_t{0} : 0;
+        const uint64_t* a = &values[size_t{f0.node()} * words];
+        const uint64_t* b = &values[size_t{f1.node()} * words];
+        uint64_t* y = &values[size_t{node} * words];
+        if (network.is_and(node))
+            for (uint32_t w = 0; w < words; ++w)
+                y[w] = (a[w] ^ c0) & (b[w] ^ c1);
+        else
+            for (uint32_t w = 0; w < words; ++w)
+                y[w] = a[w] ^ b[w] ^ c0 ^ c1;
     }
+    return values;
+}
 
+std::vector<uint64_t> simulate_words(const xag& network,
+                                     std::span<const uint64_t> pi_words)
+{
+    if (pi_words.size() != network.num_pis())
+        throw std::invalid_argument{"simulate_words: one word per PI"};
+
+    const auto values = simulate_nodes(network, pi_words, 1);
     std::vector<uint64_t> outputs;
     outputs.reserve(network.num_pos());
     for (uint32_t i = 0; i < network.num_pos(); ++i) {

@@ -21,6 +21,13 @@ std::vector<truth_table> simulate(const xag& network, uint32_t max_vars = 16);
 std::vector<uint64_t> simulate_words(const xag& network,
                                      std::span<const uint64_t> pi_words);
 
+/// Word-parallel simulation of 64 * `words` input patterns, keeping every
+/// node's value: `pi_words` holds `words` words per PI (PI-major); returns
+/// `words` words per node id (dead nodes and the constant read 0).
+std::vector<uint64_t> simulate_nodes(const xag& network,
+                                     std::span<const uint64_t> pi_words,
+                                     uint32_t words);
+
 /// Single-pattern simulation (convenience wrapper over simulate_words).
 std::vector<bool> simulate_pattern(const xag& network,
                                    const std::vector<bool>& inputs);

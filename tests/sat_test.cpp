@@ -427,7 +427,225 @@ xag small_adder_variant(int bits)
     return net;
 }
 
+/// Same function again, with every XOR spelled as ANDs and every carry as
+/// the naive majority: its gates do not strash onto `small_adder`'s
+/// encoding until the sweep merges their fanins, so each check adds many
+/// fresh variables.
+xag small_adder_and_only(int bits)
+{
+    xag net;
+    const auto xor_of = [&](signal a, signal b) {
+        return net.create_or(net.create_and(a, !b), net.create_and(!a, b));
+    };
+    std::vector<signal> x, y;
+    for (int i = 0; i < bits; ++i)
+        x.push_back(net.create_pi());
+    for (int i = 0; i < bits; ++i)
+        y.push_back(net.create_pi());
+    auto carry = net.get_constant(false);
+    for (int i = 0; i < bits; ++i) {
+        net.create_po(xor_of(xor_of(x[i], y[i]), carry));
+        carry = net.create_maj_naive(x[i], y[i], carry);
+    }
+    net.create_po(carry);
+    return net;
+}
+
+/// Conflicts of every per-output record so far: the output solves' share
+/// of a fresh verifier's first check.
+uint64_t output_conflicts(const incremental_cec& cec)
+{
+    uint64_t sum = 0;
+    for (const auto& r : cec.records())
+        sum += r.sat_conflicts;
+    return sum;
+}
+
 } // namespace
+
+TEST(incremental_cec_check, identical_candidate_strashes_without_conflicts)
+{
+    const auto golden = small_adder(8);
+    const auto candidate = small_adder(8);
+    incremental_cec cec{golden};
+    const auto report = cec.check(candidate);
+    EXPECT_EQ(report.result, equivalence_result::equivalent);
+    // Every gate takes its golden twin's literal: nothing to sweep, and
+    // every output is the golden output itself.
+    EXPECT_EQ(report.sweep.strash_hits, golden.num_gates());
+    EXPECT_EQ(report.sweep.pairs_tried, 0u);
+    ASSERT_EQ(cec.records().size(), golden.num_pos());
+    for (const auto& r : cec.records())
+        EXPECT_EQ(r.sat_conflicts, 0u) << "output " << r.index;
+    EXPECT_EQ(report.stats.conflicts, 0u);
+}
+
+TEST(incremental_cec_check, sweep_merges_restructured_gates)
+{
+    const auto golden = small_adder(8);
+    const auto candidate = small_adder_and_only(8);
+    incremental_cec cec{golden};
+    const auto report = cec.check(candidate);
+    EXPECT_EQ(report.result, equivalence_result::equivalent);
+    EXPECT_GT(report.sweep.merged, 0u);
+    EXPECT_EQ(report.sweep.refuted + report.sweep.merged,
+              report.sweep.pairs_tried);
+    // The sweep's and the output solves' conflicts are the solver's total.
+    EXPECT_EQ(report.sweep.conflicts + output_conflicts(cec),
+              report.stats.conflicts);
+}
+
+TEST(incremental_cec_check, refutes_a_deep_minterm_the_patterns_miss)
+{
+    // out = ((t ^ u) & x25) ^ (x26 & x27) with t the AND of x0..x23 and u
+    // an XOR of x24..x27; the mutant's t drops x23, which changes t on the
+    // single minterm x0..x22 = 1, x23 = 0.  No fixed random pattern hits
+    // it (2^-23 each), so every simulation-matched pair on the way up is
+    // a near-miss the sweep must refute rather than merge.
+    const auto build = [](uint32_t and_width) {
+        xag net;
+        std::vector<signal> x;
+        for (int i = 0; i < 28; ++i)
+            x.push_back(net.create_pi());
+        std::vector<signal> level{x.begin(), x.begin() + and_width};
+        while (level.size() > 1) {
+            std::vector<signal> next;
+            for (size_t i = 0; i + 1 < level.size(); i += 2)
+                next.push_back(net.create_and(level[i], level[i + 1]));
+            if (level.size() % 2 != 0)
+                next.push_back(level.back());
+            level = std::move(next);
+        }
+        auto u = x[24];
+        for (int i = 25; i < 28; ++i)
+            u = net.create_xor(u, x[i]);
+        const auto t = level[0];
+        net.create_po(net.create_xor(net.create_and(net.create_xor(t, u), x[25]),
+                                     net.create_and(x[26], x[27])));
+        net.create_po(u); // an untouched output that strashes
+        return net;
+    };
+    const auto golden = build(24);
+    const auto mutant = build(23);
+
+    incremental_cec cec{golden};
+    const auto report = cec.check(mutant);
+    ASSERT_EQ(report.result, equivalence_result::not_equivalent);
+    EXPECT_GE(report.sweep.refuted, 1u);
+    EXPECT_EQ(report.sweep.merged, 0u);
+    ASSERT_TRUE(report.counterexample.has_value());
+    EXPECT_NE(simulate_pattern(mutant, *report.counterexample),
+              simulate_pattern(golden, *report.counterexample));
+    EXPECT_EQ(oracle::check_equivalence(mutant, golden).result,
+              equivalence_result::not_equivalent);
+}
+
+TEST(incremental_cec_check, random_mutation_differential)
+{
+    // Random XAGs against restructured, sometimes mutated copies: the
+    // strashed, swept, warm verdict must match the cold miter's, and a
+    // refutation must replay as a real difference.  Most mutations touch
+    // a gate only where a 12-literal cube holds — 2^-12 of the inputs, so
+    // the fixed patterns usually miss it and the sweep has to tell the
+    // near-miss pair apart by SAT — and the cube is XORed in, ORed in or
+    // masked out, so a one-sided proof would merge some of them.
+    int refuted = 0, proved = 0;
+    uint64_t sweep_refuted = 0;
+    for (uint64_t seed = 1; seed <= 60; ++seed) {
+        std::mt19937_64 rng{seed};
+        const auto pick = [&](uint64_t n) { return rng() % n; };
+
+        const uint32_t num_pis = 16 + static_cast<uint32_t>(pick(8));
+        struct gate {
+            bool is_and;
+            uint32_t a, b; ///< indices into the signal list
+            bool ca, cb;
+        };
+        std::vector<gate> gates;
+        for (uint32_t g = 0; g < 48; ++g) {
+            // Fanins lean on recent gates so the outputs' cones are deep.
+            const auto n = num_pis + g;
+            const auto fanin = [&] {
+                return static_cast<uint32_t>(
+                    pick(2) == 0 || g < 4 ? pick(n) : n - 1 - pick(4));
+            };
+            gates.push_back({pick(2) == 0, fanin(), fanin(), pick(2) == 0,
+                             pick(2) == 0});
+        }
+        const auto mutation = pick(5); // 0: none, 1: flip, 2-4: cube
+        const auto mutated = static_cast<uint32_t>(pick(gates.size()));
+        std::vector<std::pair<uint32_t, bool>> cube;
+        for (int i = 0; i < 12; ++i)
+            cube.emplace_back(static_cast<uint32_t>(pick(num_pis)),
+                              pick(2) == 0);
+
+        // `restructure`: XORs spelled as ANDs half of the time.
+        const auto build = [&](bool restructure, bool with_mutation) {
+            std::mt19937_64 shape_rng{seed * 7919};
+            xag net;
+            std::vector<signal> sig;
+            for (uint32_t i = 0; i < num_pis; ++i)
+                sig.push_back(net.create_pi());
+            for (uint32_t g = 0; g < gates.size(); ++g) {
+                auto gt = gates[g];
+                const bool here = with_mutation && g == mutated;
+                if (here && mutation == 1)
+                    gt.ca = !gt.ca;
+                const auto a = sig[gt.a] ^ gt.ca;
+                const auto b = sig[gt.b] ^ gt.cb;
+                signal y;
+                if (gt.is_and)
+                    y = net.create_and(a, b);
+                else if (restructure && shape_rng() % 2 == 0)
+                    y = net.create_or(net.create_and(a, !b),
+                                      net.create_and(!a, b));
+                else
+                    y = net.create_xor(a, b);
+                if (here && mutation >= 2) {
+                    auto m = net.get_constant(true);
+                    for (const auto& [pi, c] : cube)
+                        m = net.create_and(m, sig[pi] ^ c);
+                    y = mutation == 2   ? net.create_xor(y, m)
+                        : mutation == 3 ? net.create_or(y, m)
+                                        : net.create_and(y, !m);
+                }
+                sig.push_back(y);
+            }
+            for (size_t i = sig.size() - 4; i < sig.size(); ++i)
+                net.create_po(sig[i]);
+            return net;
+        };
+        const auto golden = build(false, false);
+        const auto candidate = build(true, mutation != 0);
+
+        incremental_cec cec{golden};
+        const auto warm = cec.check(candidate);
+        const auto cold = oracle::check_equivalence(candidate, golden);
+        ASSERT_EQ(warm.result, cold.result) << "seed " << seed;
+        EXPECT_EQ(warm.sweep.conflicts + output_conflicts(cec),
+                  warm.stats.conflicts)
+            << "seed " << seed;
+        sweep_refuted += warm.sweep.refuted;
+        if (warm.result == equivalence_result::not_equivalent) {
+            ++refuted;
+            ASSERT_TRUE(warm.counterexample.has_value());
+            EXPECT_NE(simulate_pattern(candidate, *warm.counterexample),
+                      simulate_pattern(golden, *warm.counterexample))
+                << "seed " << seed;
+        } else {
+            ++proved;
+        }
+        // The verifier stays sound for the next candidate: the unmutated
+        // restructured copy always proves.
+        EXPECT_EQ(cec.check(build(true, false)).result,
+                  equivalence_result::equivalent)
+            << "seed " << seed;
+    }
+    // Both verdicts are exercised, and so are the sweep's refutations.
+    EXPECT_GE(refuted, 10);
+    EXPECT_GE(proved, 10);
+    EXPECT_GE(sweep_refuted, 10u);
+}
 
 TEST(incremental_cec_check, differential_against_cold_oracle)
 {
@@ -542,7 +760,9 @@ TEST(incremental_cec_check, gc_rebuild_preserves_answers)
     const auto golden = small_adder(4);
     incremental_cec cec{golden, 2}; // aggressive GC: rebuild every check
     for (int i = 0; i < 6; ++i) {
-        auto candidate = small_adder_variant(4);
+        // A candidate that strashed onto golden would add too few
+        // variables to trigger the GC.
+        auto candidate = small_adder_and_only(4);
         EXPECT_EQ(cec.check(candidate).result,
                   equivalence_result::equivalent)
             << "check " << i;

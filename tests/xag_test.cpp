@@ -141,6 +141,40 @@ TEST(xag_network, full_adder_simulation)
     net.check_integrity();
 }
 
+TEST(xag_network, multi_word_node_simulation_agrees_with_single_words)
+{
+    // simulate_nodes over 3 words per PI must give, word for word, what
+    // simulate_words gives for each word on its own.
+    xag net;
+    std::vector<signal> x;
+    for (int i = 0; i < 5; ++i)
+        x.push_back(net.create_pi());
+    const auto t = net.create_and(net.create_xor(x[0], !x[1]), x[2]);
+    net.create_po(!net.create_xor(t, net.create_and(!x[3], x[4])));
+    net.create_po(t);
+
+    constexpr uint32_t words = 3;
+    std::mt19937_64 rng{11};
+    std::vector<uint64_t> pi_words(5 * words);
+    for (auto& w : pi_words)
+        w = rng();
+    const auto nodes = simulate_nodes(net, pi_words, words);
+    ASSERT_EQ(nodes.size(), size_t{net.size()} * words);
+    for (uint32_t w = 0; w < words; ++w) {
+        std::vector<uint64_t> single(5);
+        for (uint32_t i = 0; i < 5; ++i)
+            single[i] = pi_words[i * words + w];
+        const auto outs = simulate_words(net, single);
+        for (uint32_t o = 0; o < net.num_pos(); ++o) {
+            const auto po = net.po_at(o);
+            EXPECT_EQ(nodes[po.node() * words + w] ^
+                          (po.complemented() ? ~uint64_t{0} : 0),
+                      outs[o])
+                << "output " << o << " word " << w;
+        }
+    }
+}
+
 TEST(xag_network, maj_has_one_and)
 {
     xag net;

@@ -205,7 +205,8 @@ std::string json_escape(const std::string& s)
 void write_report(const std::string& path, const std::string& input,
                   const flow_result& result, bool verified,
                   const std::string& verify_method, const char* verify_label,
-                  const std::vector<sat::verification_record>& verify_checks)
+                  const std::vector<sat::verification_record>& verify_checks,
+                  const sat::equivalence_report* proof)
 {
     FILE* f = std::fopen(path.c_str(), "w");
     if (f == nullptr) {
@@ -304,10 +305,24 @@ void write_report(const std::string& path, const std::string& input,
                  "  \"verify_label\": \"%s\"",
                  verified ? "true" : "false", verify_method.c_str(),
                  verify_label);
-    if (!verify_checks.empty()) {
-        // Per-output solves of the warm incremental CEC (--verify sat);
-        // schema in docs/artifacts.md.
-        std::fprintf(f, ",\n  \"verification\": {\"checks\": [\n");
+    if (proof != nullptr) {
+        // The warm incremental CEC (--verify sat): how the candidate was
+        // merged into the golden encoding, then the per-output solves.
+        // The sweep's conflicts plus the checks' add up to
+        // solver_conflicts.  Schema in docs/artifacts.md.
+        const auto& sw = proof->sweep;
+        std::fprintf(
+            f,
+            ",\n  \"verification\": {\"solver_conflicts\": %llu,\n"
+            "    \"sweep\": {\"strash_hits\": %llu, \"pairs_tried\": %llu, "
+            "\"merged\": %llu, \"refuted\": %llu, \"sat_conflicts\": %llu},\n"
+            "    \"checks\": [\n",
+            static_cast<unsigned long long>(proof->stats.conflicts),
+            static_cast<unsigned long long>(sw.strash_hits),
+            static_cast<unsigned long long>(sw.pairs_tried),
+            static_cast<unsigned long long>(sw.merged),
+            static_cast<unsigned long long>(sw.refuted),
+            static_cast<unsigned long long>(sw.conflicts));
         for (size_t i = 0; i < verify_checks.size(); ++i) {
             const auto& c = verify_checks[i];
             std::fprintf(f,
@@ -741,6 +756,7 @@ int main(int argc, char** argv)
         bool verified = true;
         std::string method = "none";
         std::vector<sat::verification_record> verify_checks;
+        std::optional<sat::equivalence_report> proof;
         // Why a SAT check stopped short of a verdict (empty: it decided).
         std::string undecided;
         const auto decide = [&](const sat::equivalence_report& report,
@@ -774,7 +790,8 @@ int main(int argc, char** argv)
                     : !signals.stop_requested()        ? signals
                                                        : cancellation_token{};
                 sat::incremental_cec cec{golden};
-                decide(cec.check(optimized, 0, token), token);
+                proof = cec.check(optimized, 0, token);
+                decide(*proof, token);
                 verify_checks = cec.records();
                 method = "sat";
             }
@@ -800,7 +817,7 @@ int main(int argc, char** argv)
         if (!opt.report.empty())
             write_report(opt.report, opt.input, result, verified, method,
                          verify_label(method, !undecided.empty()),
-                         verify_checks);
+                         verify_checks, proof ? &*proof : nullptr);
         if (!undecided.empty()) {
             std::fprintf(stderr, "verification undecided (%s)\n",
                          undecided.c_str());
