@@ -41,7 +41,7 @@ int main()
         pass_context ctx;
         const auto stats = mc_rewrite_round(net, ctx);
         std::printf("  with cache:   %.2fs (%zu entries, %llu hits)\n",
-                    stats.seconds, ctx.scratch(0).classification.size(),
+                    stats.seconds, ctx.classification().size(),
                     static_cast<unsigned long long>(stats.canon_cache_hits));
     }
     {

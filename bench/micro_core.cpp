@@ -2,18 +2,18 @@
 //
 // Self-contained chrono harness (no external benchmark dependency) that
 // measures each stage in ns/op, A/B-compares the word-parallel fast paths
-// against the retained seed implementations (npn_canonize_baseline, the
-// scalar cut enumerator and the legacy SAT solver from tests/oracle/),
-// reports cache hit rates from a real rewriting
-// round, and emits everything machine-readable to BENCH_micro_core.json
-// (override the path with MCX_BENCH_JSON).
+// against the retained seed implementations from tests/oracle/ (the
+// brute-force NPN canonizer, the scalar affine classifier, the scalar cut
+// enumerator and the legacy SAT solver), reports cache hit rates from a
+// real rewriting round, and emits everything machine-readable to
+// BENCH_micro_core.json (override the path with MCX_BENCH_JSON).
 //
 // CI gates on the speedup ratios printed here: the word-parallel NPN
 // canonizer must be >= 5x the brute force, word-parallel cut enumeration
-// >= 2x the scalar path, the packed-spectrum affine classifier >= 4x
-// classify_affine_baseline on the cold-cache workload, and batched cone
-// simulation >= 1x per-cut cone_function on the enumerated cut sets of a
-// shallow and a deep circuit.
+// >= 2x the scalar path, the packed-spectrum affine classifier >= 4x the
+// scalar one on the cold-cache workload, and batched cone simulation >= 1x
+// per-cut cone_function on the enumerated cut sets of a shallow and a deep
+// circuit.
 #include "core/flow.h"
 #include "core/pass.h"
 #include "cut/cut_enumeration.h"
@@ -29,8 +29,10 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "oracle/check_equivalence.h"
+#include "oracle/classify_affine_baseline.h"
 #include "oracle/cut_enumeration_scalar.h"
 #include "oracle/legacy_solver.h"
+#include "oracle/npn_canonize_baseline.h"
 #include "spectral/classification.h"
 #include "tt/operations.h"
 #include "xag/cleanup.h"
@@ -136,7 +138,8 @@ int main()
     const double npn_base_ns =
         run_bench("npn/canonize_baseline", npn_pool.size(), [&] {
             for (const auto& f : npn_pool)
-                g_sink += npn_canonize_baseline(f).representative.word();
+                g_sink +=
+                    oracle::npn_canonize_baseline(f).representative.word();
         });
     const double npn_speedup = npn_base_ns / npn_fast_ns;
     std::printf("%-34s %12.1f x\n", "npn/speedup", npn_speedup);
@@ -183,7 +186,7 @@ int main()
         const double cls_base_ns =
             run_bench("spectral/classify_baseline", fs.size(), [&] {
                 for (const auto& f : fs)
-                    g_sink += classify_affine_baseline(
+                    g_sink += oracle::classify_affine_baseline(
                                   f, {.iteration_limit = 100'000})
                                   .iterations;
             });
@@ -208,7 +211,7 @@ int main()
         const double cls4_base_ns =
             run_bench("spectral/classify4_baseline", fs.size(), [&] {
                 for (const auto& f : fs)
-                    g_sink += classify_affine_baseline(
+                    g_sink += oracle::classify_affine_baseline(
                                   f, {.iteration_limit = 100'000})
                                   .iterations;
             });
@@ -324,7 +327,7 @@ int main()
 
     // ------------------------------------- full round with stage breakdown
     auto net = gen_adder(64);
-    pass_context warm_ctx; // database and cache shards persist across stages
+    pass_context warm_ctx; // databases and memos persist across stages
     const auto round = mc_rewrite_round(net, warm_ctx);
 
     // --------------------------- cone simulation (A/B, enumerated cuts)
@@ -433,7 +436,7 @@ int main()
     // ------------------------- parallel two-phase round (1 vs 4 workers)
     // md5's first round on the deterministic two-phase engine
     // (src/core/pass.cpp, docs/parallel.md), 1 worker vs 4, each context
-    // warmed by one throwaway round so databases and cache shards are hot
+    // warmed by one throwaway round so databases and memos are hot
     // and the measurement isolates the engine.  md5's round scores ~40k
     // gates, enough parallel work to time; a warmed adder64 round takes a
     // few ms, too short for its 4-worker speedup to show.  The engine's

@@ -105,7 +105,7 @@ int main()
     std::printf("\noverall geometric-mean AND ratio: %.2f (paper overall: "
                 "~0.66, i.e. 34%% average reduction)\n",
                 geomean_ratio(all));
-    const auto& cache = ctx.scratch(0).classification;
+    const auto& cache = ctx.classification();
     auto& db = ctx.mc_db();
     std::printf("classification cache: %zu entries, %llu hits / %llu misses; "
                 "database: %zu entries (%llu exact, %llu heuristic)\n",

@@ -80,7 +80,7 @@ int main()
                         "paper reaches 64)\n",
                         r.final_and);
     }
-    const auto& cache = ctx.scratch(0).classification;
+    const auto& cache = ctx.classification();
     auto& db = ctx.mc_db();
     std::printf("classification cache: %zu entries, %llu hits; database: %zu "
                 "entries (%llu exact, %llu heuristic)\n",

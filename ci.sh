@@ -22,8 +22,10 @@ cmake -B build -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build build -j"$(nproc)"
 # The test-only references (tests/oracle/, the mcx_oracle target) must not
 # slip back into the production library.
-if nm -C build/libmcx.a | grep -E \
-    'legacy_solver|enumerate_cuts_scalar|check_equivalence|cone_verifier|encode_cones'; then
+oracle_symbols='legacy_solver|enumerate_cuts_scalar|check_equivalence'
+oracle_symbols+='|cone_verifier|encode_cones'
+oracle_symbols+='|classify_affine_baseline|npn_canonize_baseline'
+if nm -C build/libmcx.a | grep -E "$oracle_symbols"; then
     echo "ci.sh: libmcx.a contains a test-only oracle symbol" >&2
     exit 1
 fi
@@ -149,12 +151,11 @@ python3 - FLOW_smoke_par.json build/adder16_par4_again.json <<'PY' || {
 import json, sys
 TIMINGS = {"total_seconds", "seconds", "cut_seconds", "rewrite_seconds",
            "process"}
-SCHEDULED = {"canon_cache_hit_rate", "pool.steals"}
+SCHEDULED = {"pool.steals"}
 def strip(x):
     if isinstance(x, dict):
         return {k: strip(v) for k, v in x.items()
-                if k not in TIMINGS | SCHEDULED
-                and not k.startswith("cache.cls.")}
+                if k not in TIMINGS | SCHEDULED}
     if isinstance(x, list):
         return [strip(v) for v in x]
     return x
@@ -381,8 +382,9 @@ done
 [ "$docs_failed" -eq 0 ] || exit 1
 
 # Thread+UB sanitizer job: the parallel subsystem (thread pool, sharded
-# databases, two-phase round, level-parallel cut maintenance), the pass
-# framework, and the governance/fault paths under TSan with UBSan riding
+# databases and the shared classification memo, two-phase round,
+# level-parallel cut maintenance), the pass framework, and the
+# governance/fault paths under TSan with UBSan riding
 # along (-fno-sanitize-recover makes any UB a hard failure).  The par_test
 # and cut_incremental_test determinism sweeps are trimmed to one
 # representative family each — full generator sweeps under the ~10x
@@ -391,12 +393,15 @@ cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCMAKE_CXX_FLAGS="-fsanitize=thread,undefined -fno-sanitize-recover=undefined" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread,undefined"
 cmake --build build-tsan -j"$(nproc)" --target par_test pass_test \
-    cut_incremental_test incremental_eval_test robustness_test obs_test
+    cut_incremental_test incremental_eval_test robustness_test obs_test \
+    memo_test
 (cd build-tsan &&
     GTEST_FILTER='work_deque.*:thread_pool.*:sharded_database.*:two_phase_determinism.aes_family' \
         ctest -R par_test --output-on-failure &&
     GTEST_FILTER='metrics.*:tracing.*' \
         ctest -R obs_test --output-on-failure &&
+    GTEST_FILTER='memo_invariance.shared_memo_classifies_each_function_once' \
+        ctest -R memo_test --output-on-failure &&
     GTEST_FILTER='cut_arena_incremental.*:cut_maintainer.*:incremental_differential.aes_family' \
         ctest -R cut_incremental_test --output-on-failure &&
     GTEST_FILTER='evaluate_differential.aes_family:evaluate_cache.*' \

@@ -47,9 +47,7 @@ thread_pool& pass_context::pool(uint32_t num_threads)
 pass_scratch& pass_context::scratch(uint32_t worker)
 {
     while (scratch_.size() <= worker)
-        scratch_.push_back(std::make_unique<pass_scratch>(
-            classification_params{
-                .iteration_limit = params_.classification_iteration_limit}));
+        scratch_.push_back(std::make_unique<pass_scratch>());
     return *scratch_[worker];
 }
 
@@ -351,24 +349,23 @@ struct scored_candidate {
 };
 
 /// Commit-side kernel: build the candidate for a support-shrunk function —
-/// trivially, or through the strategy's database splice classified in the
-/// scoring worker's `shard` — measure the actual created cost, verify
-/// function and containment against the current network, and score the
-/// DAG-aware gain (MFFC savings over the full cut, computed while the
-/// candidate's references pin any shared nodes, minus the created cost).
+/// trivially, or through the strategy's database splice — measure the
+/// actual created cost, verify function and containment against the
+/// current network, and score the DAG-aware gain (MFFC savings over the
+/// full cut, computed while the candidate's references pin any shared
+/// nodes, minus the created cost).
 /// Returns nullopt with every temporary reference released when the build
 /// fails or verification rejects.
 template <typename Strategy>
 std::optional<scored_candidate> build_scored_candidate(
-    xag& net, cone_simulator& sim, Strategy& strat, pass_scratch& shard,
-    const truth_table& f, std::span<const signal> leaf_sigs,
-    std::span<const uint32_t> support_nodes,
+    xag& net, cone_simulator& sim, Strategy& strat, const truth_table& f,
+    std::span<const signal> leaf_sigs, std::span<const uint32_t> support_nodes,
     std::span<const uint32_t> mffc_leaves, uint32_t n)
 {
     const auto cost_before = strat.created_cost();
     std::optional<signal> candidate = trivial_replacement(net, f, leaf_sigs);
     if (!candidate) {
-        candidate = strat.make_candidate(net, f, leaf_sigs, shard);
+        candidate = strat.make_candidate(net, f, leaf_sigs);
         if (!candidate)
             return std::nullopt;
     }
@@ -402,14 +399,14 @@ struct round_env {
 //  * EVALUATE (parallel): every gate node is scored independently against
 //    the network as it stands at round start — resolve its cuts, batch-
 //    simulate their functions on the worker's own cone_simulator, classify
-//    through the worker's cache shard, look the class up in the (striped,
-//    once-per-class) database, probe the splice against the structural-
-//    hashing table (splice_probe), and record the best candidate by its
-//    exact gain on the frozen network (pinned MFFC savings minus the gates
-//    the splice would really add).  Nothing touches
-//    the network, so the per-node result is a pure function of (network,
-//    cut sets, node) and the winner array is identical for any thread
-//    count and any work-stealing schedule.
+//    through the context's memo and look the class up in the database
+//    (both striped and once-per-key), probe the splice against the
+//    structural-hashing table (splice_probe), and record the best
+//    candidate by its exact gain on the frozen network (pinned MFFC
+//    savings minus the gates the splice would really add).  Nothing
+//    touches the network, so the per-node result is a pure function of
+//    (network, cut sets, node) and the winner array is identical for any
+//    thread count and any work-stealing schedule.
 //
 //  * COMMIT (sequential, ascending node order): re-validate each winner
 //    against the network as modified by the commits before it — the node
@@ -465,7 +462,7 @@ void evaluate_node(const xag& net, const cut_sets& cuts, Strategy& strat,
         splice_probe probe{net, n, cut_leaves, sc};
         auto out = trivial_replacement(probe, view.function, leaves);
         if (!out) {
-            out = strat.make_candidate(probe, view.function, leaves, sc);
+            out = strat.make_candidate(probe, view.function, leaves);
             if (!out) {
                 ++sc.classify_failures;
                 continue;
@@ -518,15 +515,11 @@ void run_two_phase_round(xag& net, pass_context& ctx, round_stats& stats,
 
     auto& pool = ctx.pool(num_threads);
     const auto workers = pool.num_workers();
-    uint64_t shard_hits0 = 0, shard_misses0 = 0;
     for (uint32_t w = 0; w < workers; ++w) {
         auto& sc = ctx.scratch(w); // created before the team needs it
         sc.cuts_evaluated = 0;
         sc.classify_failures = 0;
         sc.candidates_built = 0;
-        const auto [h, m] = strat.scratch_traffic(sc);
-        shard_hits0 += h;
-        shard_misses0 += m;
     }
 
     // ---- phase 1: parallel evaluate over the frozen network — but only
@@ -571,7 +564,6 @@ void run_two_phase_round(xag& net, pass_context& ctx, round_stats& stats,
             const auto idx = fresh[i];
             evaluate_node(net, cuts, strat, ctx.scratch(worker),
                           allow_zero_gain, nodes[idx], winners[idx]);
-            winners[idx].worker = worker;
         });
     }
     const auto& token = ctx.token;
@@ -671,11 +663,10 @@ void run_two_phase_round(xag& net, pass_context& ctx, round_stats& stats,
         // Exact gain against the *current* network: actual created cost
         // (structural hashing may have shared most of the candidate) and
         // the MFFC as it stands after the commits above.  Classification
-        // goes through the scoring worker's shard, where it is a warm hit.
-        auto& shard = ctx.scratch(w.worker);
-        const auto scored = build_scored_candidate(
-            net, sim, strat, shard, w.function, leaf_sigs, support_nodes,
-            full_leaves, n);
+        // is a warm hit in the memo the evaluate phase filled.
+        const auto scored =
+            build_scored_candidate(net, sim, strat, w.function, leaf_sigs,
+                                   support_nodes, full_leaves, n);
         if (!scored)
             continue;
         if (scored->sig.node() != n &&
@@ -689,24 +680,13 @@ void run_two_phase_round(xag& net, pass_context& ctx, round_stats& stats,
     }
 
     collect_counters(ctx.scratch(0)); // the commit phase's re-scoring
-
-    // Shard-cache traffic for this round's stats, including the commit
-    // phase's (warm) lookups.
-    uint64_t shard_hits1 = 0, shard_misses1 = 0;
-    for (uint32_t w = 0; w < workers; ++w) {
-        const auto [h, m] = strat.scratch_traffic(ctx.scratch(w));
-        shard_hits1 += h;
-        shard_misses1 += m;
-    }
-    stats.canon_cache_hits = shard_hits1 - shard_hits0;
-    stats.canon_cache_misses = shard_misses1 - shard_misses0;
 }
 
-/// Round boilerplate shared by both rewrite flavors: network shape and
-/// database-traffic deltas, stage timing, cut refresh into the context's
-/// arena (incremental across rounds — only the previous round's dirty
-/// region is re-enumerated, level-parallel on the worker pool), then the
-/// two-phase round above.
+/// Round boilerplate shared by both rewrite flavors: network shape, memo-
+/// and database-traffic deltas, stage timing, cut refresh into the
+/// context's arena (incremental across rounds — only the previous round's
+/// dirty region is re-enumerated, level-parallel on the worker pool), then
+/// the two-phase round above.
 template <typename Strategy>
 round_stats generic_round(xag& network, pass_context& ctx, uint32_t cut_size,
                           uint32_t cut_limit, bool allow_zero_gain,
@@ -717,6 +697,7 @@ round_stats generic_round(xag& network, pass_context& ctx, uint32_t cut_size,
     round_stats stats;
     stats.ands_before = network.num_ands();
     stats.xors_before = network.num_xors();
+    const auto [canon_hits0, canon_misses0] = strat.canon_traffic();
     const auto [db_hits0, db_misses0] = strat.db_traffic();
 
     // Exceptions from the layers below — cancelled_error unwinding out of
@@ -789,6 +770,9 @@ round_stats generic_round(xag& network, pass_context& ctx, uint32_t cut_size,
     stats.rewrite_seconds =
         std::chrono::duration<double>(end - cuts_done).count();
     stats.seconds = std::chrono::duration<double>(end - start).count();
+    const auto [canon_hits1, canon_misses1] = strat.canon_traffic();
+    stats.canon_cache_hits = canon_hits1 - canon_hits0;
+    stats.canon_cache_misses = canon_misses1 - canon_misses0;
     const auto [db_hits1, db_misses1] = strat.db_traffic();
     stats.db_hits = db_hits1 - db_hits0;
     stats.db_misses = db_misses1 - db_misses0;
@@ -821,20 +805,19 @@ round_stats generic_round(xag& network, pass_context& ctx, uint32_t cut_size,
 struct mc_strategy {
     static constexpr uint8_t kind = 0; ///< evaluate_cache::strategy tag
     xag& net;
+    classification_cache& memo;
     mc_database& db;
     cancellation_token token;
 
     /// Candidate builder into the network (commit) or a splice_probe
-    /// (evaluate), classifying through `sc`: in the commit phase that is
-    /// the scoring worker's shard, where the search is already a warm hit.
-    /// nullopt when the classification search fails.  Thread-safe for a
-    /// probe: touches only the worker's scratch and the striped database.
+    /// (evaluate).  nullopt when the classification search fails.
+    /// Thread-safe for a probe: touches only the striped memo and
+    /// database.
     template <typename Dst>
     std::optional<signal> make_candidate(Dst& dst, const truth_table& f,
-                                         std::span<const signal> leaves,
-                                         pass_scratch& sc)
+                                         std::span<const signal> leaves)
     {
-        const auto& cls = sc.classification.classify(f);
+        const auto& cls = memo.classify(f);
         if (!cls.success)
             return std::nullopt;
         const auto& entry = db.lookup_or_build(cls.representative, token);
@@ -850,9 +833,9 @@ struct mc_strategy {
         return mffc_and_count(net, root, leaves, pinned);
     }
     uint64_t created_cost() const { return net.num_ands(); }
-    std::pair<uint64_t, uint64_t> scratch_traffic(const pass_scratch& sc) const
+    std::pair<uint64_t, uint64_t> canon_traffic() const
     {
-        return {sc.classification.hits(), sc.classification.misses()};
+        return {memo.hits(), memo.misses()};
     }
     std::pair<uint64_t, uint64_t> db_traffic() const
     {
@@ -865,16 +848,16 @@ struct mc_strategy {
 struct size_strategy {
     static constexpr uint8_t kind = 1; ///< evaluate_cache::strategy tag
     xag& net;
+    npn_cache& memo;
     size_database& db;
     cancellation_token token;
 
     /// Candidate builder; see mc_strategy::make_candidate.
     template <typename Dst>
     std::optional<signal> make_candidate(Dst& dst, const truth_table& f,
-                                         std::span<const signal> leaves,
-                                         pass_scratch& sc)
+                                         std::span<const signal> leaves)
     {
-        const auto& canon = sc.npn.canonize(f);
+        const auto& canon = memo.canonize(f);
         const auto& entry = db.lookup_or_build(canon.representative, token);
         return splice_npn(dst, canon.transform, leaves, entry.circuit);
     }
@@ -888,9 +871,9 @@ struct size_strategy {
         return mffc_gate_count(net, root, leaves, pinned);
     }
     uint64_t created_cost() const { return net.num_gates(); }
-    std::pair<uint64_t, uint64_t> scratch_traffic(const pass_scratch& sc) const
+    std::pair<uint64_t, uint64_t> canon_traffic() const
     {
-        return {sc.npn.hits(), sc.npn.misses()};
+        return {memo.hits(), memo.misses()};
     }
     std::pair<uint64_t, uint64_t> db_traffic() const
     {
@@ -947,7 +930,8 @@ round_stats mc_rewrite_round(xag& network, pass_context& ctx,
 {
     return generic_round(network, ctx, params.cut_size, params.cut_limit,
                          params.allow_zero_gain, params.num_threads,
-                         mc_strategy{network, ctx.mc_db(), ctx.token});
+                         mc_strategy{network, ctx.classification(),
+                                     ctx.mc_db(), ctx.token});
 }
 
 round_stats size_rewrite_round(xag& network, pass_context& ctx,
@@ -955,7 +939,8 @@ round_stats size_rewrite_round(xag& network, pass_context& ctx,
 {
     return generic_round(network, ctx, params.cut_size, params.cut_limit,
                          params.allow_zero_gain, params.num_threads,
-                         size_strategy{network, ctx.size_db(), ctx.token});
+                         size_strategy{network, ctx.npn(), ctx.size_db(),
+                                       ctx.token});
 }
 
 // ----------------------------------------------------------------- passes

@@ -4,16 +4,16 @@
 //
 // The context owns everything the hot loop reuses across rounds and across
 // passes — the arena-backed cut storage (src/cut/cut_arena.h), the batched
-// cone simulator (src/xag/cone_batch.h), the LRU canonization caches, and
-// the lazily constructed databases — so each resource is allocated once
-// per flow instead of once per round.  `pass_stats` is the unified sink:
+// cone simulator (src/xag/cone_batch.h), the canonization memos, and the
+// lazily constructed databases — so each resource is allocated once per
+// flow instead of once per round.  `pass_stats` is the unified sink:
 // one record per executed pass, with per-round breakdowns for the rewrite
 // passes.
 //
 // The rewrite passes share ONE round implementation (pass.cpp): an
 // incremental cut refresh into the arena, batched evaluation of all of a
 // node's cut functions in one live-lane traversal, canonize/classify
-// through the per-worker cache shards, database splice, MFFC-gated commit.
+// through the context's shared memo, database splice, MFFC-gated commit.
 // mc vs. size differ only in a small strategy bundle (candidate builder +
 // cost model).  No parameter selects a reference path: a test reaches the
 // full-rebuild oracle with cut_maintenance().invalidate() and the
@@ -21,8 +21,8 @@
 //
 // Every round runs on the parallel subsystem (src/par/): a work-stealing
 // evaluate phase scores the best candidate per node against the frozen
-// network (per-worker scratch, thread-safe databases), then a sequential
-// commit phase applies non-conflicting winners in node order —
+// network (per-worker scratch, thread-safe memos and databases), then a
+// sequential commit phase applies non-conflicting winners in node order —
 // bit-identical results for any thread count (docs/parallel.md).  One
 // worker, the default, is the reference run.
 #pragma once
@@ -90,8 +90,11 @@ struct round_stats {
     double cut_seconds = 0.0;     ///< time inside enumerate_cuts
     double rewrite_seconds = 0.0; ///< time in the canonize/classify/splice pass
     cut_enumeration_stats cut_stats; ///< merge/dedup/domination counters
-    /// Canonization-cache traffic this round: classification_cache for the
-    /// proposed method, npn_cache for the size baseline.
+    /// Canonization-memo traffic this round: the context's
+    /// classification_cache for the proposed method, its npn_cache for the
+    /// size baseline.  Like the database traffic, a function of the
+    /// workload alone (each function is canonized once at any thread
+    /// count).
     uint64_t canon_cache_hits = 0;
     uint64_t canon_cache_misses = 0;
     /// Database traffic this round (lookup served vs. circuit synthesized).
@@ -160,10 +163,6 @@ struct eval_winner {
     std::array<uint8_t, 6> support{};     ///< indices into cut_leaves
     uint8_t num_cut_leaves = 0;
     uint8_t num_support = 0;
-    /// Worker that scored this node — its cache shard already holds the
-    /// function's classification, so the commit phase classifies through
-    /// the same shard (a warm hit) instead of re-running the search cold.
-    uint32_t worker = 0;
     bool valid = false;
     /// Existing gates outside the node's cone that scoring built on
     /// (splice_probe in pass.cpp).  Their fanouts shape the score but lie
@@ -206,20 +205,27 @@ struct pass_context_params {
     uint64_t classification_iteration_limit = 100'000; ///< paper §5
 };
 
-/// Shared execution state for a sequence of passes.  Databases and caches
-/// are constructed lazily on first use; external instances (e.g. a database
+/// Shared execution state for a sequence of passes.  Databases are
+/// constructed lazily on first use; external instances (e.g. a database
 /// loaded from disk) can be adopted instead.  All members persist across
 /// rounds, passes, and flows, which is what makes the caches effective and
 /// the arena/simulator allocation-free after warm-up.
 class pass_context {
 public:
     explicit pass_context(const pass_context_params& params = {})
-        : params_{params}
+        : params_{params},
+          classification_{{.iteration_limit =
+                                params.classification_iteration_limit}}
     {
     }
 
     mc_database& mc_db();
     size_database& size_db();
+    /// The canonization memos: one of each per context, shared by every
+    /// worker like the databases, so no cut function is classified (or
+    /// NPN-canonized) twice at any thread count.  Thread-safe.
+    classification_cache& classification() { return classification_; }
+    npn_cache& npn() { return npn_; }
     cut_sets& cuts() { return cuts_; }
     /// Incremental maintenance of cuts() across rounds — tracks one
     /// network at a time and falls back to a full rebuild whenever its
@@ -269,6 +275,8 @@ private:
     std::unique_ptr<size_database> size_db_;
     mc_database* external_mc_db_ = nullptr;
     size_database* external_size_db_ = nullptr;
+    classification_cache classification_;
+    npn_cache npn_;
     cut_sets cuts_;
     cut_maintainer cut_maint_;
     cone_simulator simulator_;

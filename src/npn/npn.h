@@ -6,19 +6,18 @@
 // (complemented edges), so a minimal circuit of the NPN representative is a
 // minimal circuit of every class member.
 //
-// Two implementations are provided.  `npn_canonize` walks the same
-// 2 * 2^n * n! candidate space as the brute force, but steps between
-// candidates with single word operations (Gray-code input flips, masked
-// variable swaps) on the packed 64-bit truth table, so each candidate costs
-// O(1) instead of O(2^n * n).  `npn_canonize_baseline` is the original
-// bit-at-a-time search, retained as the reference oracle for tests and for
-// the speedup measurement in bench/micro_core.  Both return the same
+// `npn_canonize` walks the 2 * 2^n * n! candidate space of the brute force,
+// but steps between candidates with single word operations (Gray-code input
+// flips, masked variable swaps) on the packed 64-bit truth table, so each
+// candidate costs O(1) instead of O(2^n * n).  The original bit-at-a-time
+// search is kept with the tests as its reference oracle
+// (tests/oracle/npn_canonize_baseline.h): both return the same
 // representative (the minimum truth table of the class); the transforms may
-// differ between implementations when several transforms reach it, and
-// either satisfies f = transform.apply(representative).
+// differ when several transforms reach it, and either satisfies
+// f = transform.apply(representative).
 #pragma once
 
-#include "core/lru_cache.h"
+#include "db/sharded_store.h"
 #include "tt/truth_table.h"
 
 #include <array>
@@ -46,31 +45,24 @@ struct npn_result {
 /// Word-parallel exact search (see header comment).
 npn_result npn_canonize(const truth_table& f);
 
-/// Reference oracle: the original exhaustive bit-at-a-time search.  Same
-/// representative as `npn_canonize`, ~two orders of magnitude slower.
-npn_result npn_canonize_baseline(const truth_table& f);
-
-/// Bounded-LRU memoization in front of `npn_canonize` — on real netlists
-/// the same cut functions recur constantly, so canonization becomes a hash
-/// lookup after warm-up.
+/// Memoization in front of `npn_canonize` — on real netlists the same cut
+/// functions recur constantly, so canonization becomes a hash lookup after
+/// warm-up.  One instance per pass_context, shared by every worker through
+/// a sharded_store (see classification_cache): each function is canonized
+/// once at any thread count, and nothing is evicted.
 class npn_cache {
 public:
-    explicit npn_cache(size_t capacity = lru_cache<int, int>::default_capacity)
-        : cache_{capacity}
+    npn_cache()
     {
-        // Every instance (including per-worker shards) aggregates into the
-        // same process-wide counters.
         cache_.set_metrics(obs::register_metric("cache.npn.hit"),
                            obs::register_metric("cache.npn.miss"));
     }
 
-    /// Reference valid until this entry is evicted (callers consume it
-    /// before the next `canonize` call).
+    /// Thread-safe; the reference stays valid for the cache's lifetime.
     const npn_result& canonize(const truth_table& f)
     {
-        if (const auto* cached = cache_.find(f))
-            return *cached;
-        return cache_.insert(f, npn_canonize(f));
+        return cache_.lookup_or_build(
+            f, [](const truth_table& g) { return npn_canonize(g); });
     }
 
     uint64_t hits() const { return cache_.hits(); }
@@ -78,7 +70,7 @@ public:
     size_t size() const { return cache_.size(); }
 
 private:
-    lru_cache<truth_table, npn_result, truth_table_hash> cache_;
+    sharded_store<truth_table, npn_result, truth_table_hash> cache_;
 };
 
 } // namespace mcx

@@ -3,26 +3,21 @@
 // The evaluate phase of the two-phase round (src/core/pass.cpp) runs one
 // node per parallel_for index; everything a node evaluation mutates lives
 // here, owned exclusively by one worker — so the phase needs no locking
-// beyond the databases' internal stripes:
+// beyond the internal stripes of the shared stores (src/db/sharded_store.h):
 //
 //  * the batched cone simulator's epoch-stamped buffers (simulate all of
 //    a node's cut functions, verify nothing — verification happens at
 //    commit time on the main thread);
-//  * the canonization caches, as per-worker LRU *shards*: classification
-//    and NPN canonization are pure functions, so sharding only costs
-//    duplicate work when two workers see the same cut function, never
-//    consistency.  Shard hit/miss counters are scheduling-dependent and
-//    are reported in aggregate only — the determinism contract covers
-//    networks and replacement counts, not cache traffic;
 //  * the resolved-leaf pools, cut-function buffers and candidate-probe
 //    buffers.
 //
 // The cut arena (pass_context::cuts()) stays shared: it is written once
-// by cut enumeration before the phase starts and only read inside it.
+// by cut enumeration before the phase starts and only read inside it.  The
+// canonization memos are shared too, one per context like the databases
+// (pass_context::classification() / npn()): each cut function is
+// classified once, whichever worker asks first.
 #pragma once
 
-#include "npn/npn.h"
-#include "spectral/classification.h"
 #include "xag/cone_batch.h"
 
 #include <cstdint>
@@ -31,14 +26,7 @@
 namespace mcx {
 
 struct pass_scratch {
-    explicit pass_scratch(const classification_params& params)
-        : classification{params}
-    {
-    }
-
     cone_simulator simulator;
-    classification_cache classification; ///< per-worker shard
-    npn_cache npn;                       ///< per-worker shard
 
     // Evaluate-phase buffers (capacity reused across nodes and rounds).
     std::vector<cone_simulator::leaf_set> resolved;

@@ -16,6 +16,12 @@ constexpr uint32_t sim_words = 8;
 /// Conflict cap of each of the two solves that prove one sweep pair.  A
 /// pair that needs more is left unmerged; the output solves still decide.
 constexpr uint64_t sweep_pair_conflicts = 2000;
+/// Rebuild (GC) once the solver's variable count exceeds this multiple of
+/// the golden encoding.  Each retired check leaves roughly one candidate
+/// encoding of garbage behind, so the factor is the number of distinct
+/// candidates between golden re-encodes (measured best on the adder64
+/// iterated flow: lean watch lists beat fewer rebuilds).
+constexpr uint64_t rebuild_growth = 4;
 
 /// Hash of a signature normalized up to complement (first bit cleared).
 uint64_t signature_hash(const uint64_t* sig)
@@ -33,8 +39,7 @@ uint64_t signature_hash(const uint64_t* sig)
 
 // ------------------------------------------------------- incremental_cec
 
-incremental_cec::incremental_cec(const xag& golden, uint32_t rebuild_growth)
-    : golden_{&golden}, rebuild_growth_{std::max(2u, rebuild_growth)}
+incremental_cec::incremental_cec(const xag& golden) : golden_{&golden}
 {
     rebuild();
     rebuilds_ = 0; // the constructor's build is not a GC event
@@ -151,8 +156,7 @@ equivalence_report incremental_cec::check(const xag& optimized,
 
     // GC: once retired-session garbage outweighs the golden encoding,
     // rebuild and migrate golden-only learnt clauses.
-    if (solver_->num_vars() >
-        static_cast<uint64_t>(rebuild_growth_) * base_vars_)
+    if (solver_->num_vars() > rebuild_growth * base_vars_)
         rebuild();
 
     equivalence_report report;

@@ -65,13 +65,7 @@ struct verification_record {
 /// the verifier's lifetime.
 class incremental_cec {
 public:
-    /// `rebuild_growth`: rebuild (GC) once the solver's variable count
-    /// exceeds this multiple of the golden encoding.  Each retired check
-    /// leaves roughly one candidate encoding of garbage behind, so the
-    /// factor is the number of distinct candidates between golden
-    /// re-encodes (measured best at the default on the adder64 iterated
-    /// flow: lean watch lists beat fewer rebuilds).
-    explicit incremental_cec(const xag& golden, uint32_t rebuild_growth = 4);
+    explicit incremental_cec(const xag& golden);
 
     /// Verify `optimized` against the golden reference.  The conflict
     /// budget is a total across the sweep's solves and all per-output
@@ -114,7 +108,6 @@ private:
     };
 
     const xag* golden_;
-    uint32_t rebuild_growth_;
     std::unique_ptr<solver> solver_;
     std::vector<literal> pis_;
     cnf_encoding golden_enc_;

@@ -337,41 +337,6 @@ void solver::analyze(std::vector<literal>& learnt,
     backtrack_level = level_[learnt[1].var()];
 }
 
-void solver::analyze_final(literal p)
-{
-    // Which assumptions does the falsification of `p` depend on?  Walk the
-    // trail top-down from the first assumption level, expanding reason
-    // clauses; literals with no reason above level 0 are assumption
-    // decisions.  Invoked from the assumption-establishment step, so no
-    // real decisions are on the trail yet.
-    failed_assumptions_.clear();
-    failed_assumptions_.push_back(p);
-    if (decision_level() == 0)
-        return;
-    seen_[p.var()] = 1;
-    for (size_t i = trail_.size(); i-- > trail_lim_[0];) {
-        const auto v = trail_[i].var();
-        if (!seen_[v])
-            continue;
-        const auto r = reason_[v];
-        if (r == no_reason) {
-            failed_assumptions_.push_back(trail_[i]);
-        } else if (r & binary_flag) {
-            const auto x = literal::from_code(r & ~binary_flag);
-            if (level_[x.var()] > 0)
-                seen_[x.var()] = 1;
-        } else {
-            const auto* lits = arena_.lits(r);
-            const auto size = arena_.size(r);
-            for (uint32_t k = 1; k < size; ++k)
-                if (level_[lits[k].var()] > 0)
-                    seen_[lits[k].var()] = 1;
-        }
-        seen_[v] = 0;
-    }
-    seen_[p.var()] = 0;
-}
-
 std::vector<std::vector<literal>>
 solver::export_learnt(size_t max_len) const
 {
@@ -597,7 +562,6 @@ solve_result solver::search(std::span<const literal> assumptions,
                             uint64_t conflict_budget,
                             const cancellation_token& token)
 {
-    failed_assumptions_.clear();
     backtrack(0);
     if (unsat_)
         return solve_result::unsatisfiable;
@@ -651,8 +615,6 @@ solve_result solver::search(std::span<const literal> assumptions,
                 ema_lbd_slow_ += (lbd - ema_lbd_slow_) / 16384.0;
                 ema_trail_ += (trail_.size() - ema_trail_) / 4096.0;
             }
-            if (on_learnt)
-                on_learnt(learnt);
             backtrack(backtrack_level);
             if (learnt.size() == 1)
                 enqueue(learnt[0], no_reason);
@@ -697,14 +659,13 @@ solve_result solver::search(std::span<const literal> assumptions,
             if (val == 0) {
                 // Falsified by earlier assumptions / top-level units:
                 // UNSAT under these assumptions only — sticky unsat_ is
-                // NOT set, and the final-conflict subset is extracted.
-                analyze_final(p);
+                // NOT set.
                 backtrack(0);
                 return solve_result::unsatisfiable;
             }
             // Already-true assumptions still get their own (empty)
-            // decision level so analyze_final can tell assumption levels
-            // from top-level units.
+            // decision level: the decision level indexes the next
+            // assumption to establish.
             trail_lim_.push_back(static_cast<uint32_t>(trail_.size()));
             if (val == -1)
                 enqueue(p, no_reason);

@@ -24,7 +24,6 @@
 #include "sat/types.h"
 
 #include <cstdint>
-#include <functional>
 #include <initializer_list>
 #include <span>
 #include <vector>
@@ -63,10 +62,9 @@ public:
     /// only, via pseudo-decision levels below every real decision.  Learnt
     /// clauses are retained across calls, so a sequence of related queries
     /// on one solver gets warmer with each solve.  `unsatisfiable` here
-    /// means "UNSAT under these assumptions" — the solver stays usable and
-    /// `failed_assumptions()` holds the subset of assumptions the final
-    /// conflict depends on.  Only a conflict at decision level 0 (no
-    /// assumptions involved) makes the instance permanently UNSAT.
+    /// means "UNSAT under these assumptions" — the solver stays usable.
+    /// Only a conflict at decision level 0 (no assumptions involved) makes
+    /// the instance permanently UNSAT.
     /// The solver always returns at decision level 0, so `add_clause` is
     /// legal immediately after any solve.
     solve_result solve(std::span<const literal> assumptions,
@@ -77,23 +75,11 @@ public:
     /// snapshot taken at SAT time; valid until the next solve call.
     bool model_value(uint32_t var) const { return model_[var] == 1; }
 
-    /// After `solve(assumptions)` returns `unsatisfiable` with a non-empty
-    /// assumption set: the subset of assumptions sufficient for the
-    /// conflict (MiniSat's analyzeFinal).  Empty when the instance is
-    /// UNSAT independent of the assumptions.
-    const std::vector<literal>& failed_assumptions() const
-    {
-        return failed_assumptions_;
-    }
-
     /// Live learnt clauses of at most `max_len` literals — migration feed
     /// for a rebuilt solver (variable GC in src/sat/equivalence.cpp).
     std::vector<std::vector<literal>> export_learnt(size_t max_len) const;
 
     const solver_stats& stats() const { return stats_; }
-
-    /// Instrumentation: invoked with every learnt clause (testing/debugging).
-    std::function<void(std::span<const literal>)> on_learnt;
 
 private:
     // Watcher / reason encoding: bit 31 tags an inline binary clause, the
@@ -120,7 +106,6 @@ private:
     void attach_binary(literal a, literal b);
     void analyze(std::vector<literal>& learnt, uint32_t& backtrack_level,
                  uint32_t& lbd);
-    void analyze_final(literal p);
     void backtrack(uint32_t level);
     uint32_t decision_level() const
     {
@@ -178,7 +163,6 @@ private:
     std::vector<uint8_t> seen_;
     std::vector<literal> to_clear_;
     std::vector<int8_t> model_;
-    std::vector<literal> failed_assumptions_;
 
     // Conflict clause materialized by propagate().
     std::vector<literal> confl_lits_;

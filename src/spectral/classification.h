@@ -19,7 +19,7 @@
 // point of the method: the AND count of f equals the AND count of r.
 #pragma once
 
-#include "core/lru_cache.h"
+#include "db/sharded_store.h"
 #include "tt/truth_table.h"
 
 #include <array>
@@ -69,44 +69,38 @@ struct classification_result {
 };
 
 /// Canonize `f` (up to 6 variables) with the packed-spectrum engine
-/// (src/tt/spectrum_words.h): the baseline's search tree, candidate order
-/// and iteration accounting, but candidate blocks are built, signed and
-/// compared a word at a time.  On success the result satisfies
-/// `transform.apply(representative) == f` — callers re-verify this cheap
-/// identity before rewriting, making the optimizer sound by construction.
+/// (src/tt/spectrum_words.h): the search tree, candidate order and
+/// iteration accounting of the scalar reference search kept with the tests
+/// (tests/oracle/classify_affine_baseline.h), but candidate blocks are
+/// built, signed and compared a word at a time.  On success the result
+/// satisfies `transform.apply(representative) == f` — callers re-verify
+/// this cheap identity before rewriting, making the optimizer sound by
+/// construction.
 classification_result classify_affine(const truth_table& f,
                                       const classification_params& params = {});
 
-/// The original scalar lexicographic-maximum DFS, retained verbatim as the
-/// reference oracle (the npn_canonize_baseline pattern): tests require
-/// exhaustive agreement with the word-parallel engine up to 4 inputs and
-/// randomized agreement at 5-6 inputs, and bench_micro_core gates the
-/// engine at >= 4x this implementation on the cold-cache workload.
-classification_result
-classify_affine_baseline(const truth_table& f,
-                         const classification_params& params = {});
-
 /// Memoizing wrapper — the paper's classification cache (§4.1): "no Boolean
-/// function needs to be classified twice".  Backed by a bounded LRU so the
-/// footprint stays flat on adversarial workloads; the default capacity is
-/// far above what any real netlist produces, so in practice nothing is ever
-/// evicted and the paper's guarantee holds verbatim.
+/// function needs to be classified twice".  One instance per pass_context,
+/// shared by every worker: it sits on the databases' sharded_store, so each
+/// function is classified exactly once however many workers ask for it, and
+/// the hit/miss totals of a fixed workload do not depend on the thread
+/// count.  Nothing is evicted — one entry per distinct cut function.
 class classification_cache {
 public:
-    explicit classification_cache(
-        classification_params params = {},
-        size_t capacity = lru_cache<int, int>::default_capacity)
-        : params_{params}, cache_{capacity}
+    explicit classification_cache(classification_params params = {})
+        : params_{params}
     {
-        // Every instance (including per-worker shards) aggregates into the
-        // same process-wide counters.
         cache_.set_metrics(obs::register_metric("cache.cls.hit"),
                            obs::register_metric("cache.cls.miss"));
     }
 
-    /// Reference valid until the entry is evicted (callers consume it
-    /// before the next `classify` call).
-    const classification_result& classify(const truth_table& f);
+    /// Thread-safe; the reference stays valid for the cache's lifetime.
+    const classification_result& classify(const truth_table& f)
+    {
+        return cache_.lookup_or_build(f, [this](const truth_table& g) {
+            return classify_affine(g, params_);
+        });
+    }
 
     uint64_t hits() const { return cache_.hits(); }
     uint64_t misses() const { return cache_.misses(); }
@@ -114,7 +108,7 @@ public:
 
 private:
     classification_params params_;
-    lru_cache<truth_table, classification_result, truth_table_hash> cache_;
+    sharded_store<truth_table, classification_result, truth_table_hash> cache_;
 };
 
 } // namespace mcx

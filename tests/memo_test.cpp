@@ -1,73 +1,23 @@
-// The memoization layer of the hot loop: the bounded LRU container and the
-// cache wrappers in front of NPN canonization, affine classification, and
-// the circuit databases.  The invariance property under test everywhere:
-// cached and uncached calls return identical results, at any capacity.
-#include "core/lru_cache.h"
+// The memoization layer of the hot loop: the context's classification
+// memo in front of affine classification, and the circuit databases (the
+// NPN memo is covered in npn_test).  The property under test everywhere:
+// memoized and direct calls return identical results, and each key is
+// computed once however many threads ask for it.
+#include "core/pass.h"
 #include "db/mc_database.h"
-#include "npn/npn.h"
 #include "spectral/classification.h"
 #include "tt/truth_table.h"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <random>
-#include <string>
+#include <thread>
+#include <unordered_set>
+#include <vector>
 
 namespace mcx {
 namespace {
-
-TEST(lru_cache_suite, basic_hit_miss_counting)
-{
-    lru_cache<int, std::string> cache{4};
-    EXPECT_EQ(cache.find(1), nullptr);
-    cache.insert(1, "one");
-    const auto* hit = cache.find(1);
-    ASSERT_NE(hit, nullptr);
-    EXPECT_EQ(*hit, "one");
-    EXPECT_EQ(cache.hits(), 1u);
-    EXPECT_EQ(cache.misses(), 1u);
-    EXPECT_EQ(cache.size(), 1u);
-}
-
-TEST(lru_cache_suite, evicts_least_recently_used)
-{
-    lru_cache<int, int> cache{3};
-    cache.insert(1, 10);
-    cache.insert(2, 20);
-    cache.insert(3, 30);
-    ASSERT_NE(cache.find(1), nullptr); // promote 1; LRU is now 2
-    cache.insert(4, 40);               // evicts 2
-    EXPECT_EQ(cache.find(2), nullptr);
-    EXPECT_NE(cache.find(1), nullptr);
-    EXPECT_NE(cache.find(3), nullptr);
-    EXPECT_NE(cache.find(4), nullptr);
-    EXPECT_EQ(cache.size(), 3u);
-}
-
-TEST(lru_cache_suite, insert_overwrites_and_promotes)
-{
-    lru_cache<int, int> cache{2};
-    cache.insert(1, 10);
-    cache.insert(2, 20);
-    cache.insert(1, 11); // overwrite, promotes 1; LRU is 2
-    cache.insert(3, 30); // evicts 2
-    const auto* one = cache.find(1);
-    ASSERT_NE(one, nullptr);
-    EXPECT_EQ(*one, 11);
-    EXPECT_EQ(cache.find(2), nullptr);
-    EXPECT_EQ(cache.size(), 2u);
-}
-
-TEST(lru_cache_suite, zero_capacity_clamped_to_one)
-{
-    lru_cache<int, int> cache{0};
-    EXPECT_EQ(cache.capacity(), 1u);
-    cache.insert(1, 10);
-    EXPECT_NE(cache.find(1), nullptr);
-    cache.insert(2, 20);
-    EXPECT_EQ(cache.find(1), nullptr);
-    EXPECT_NE(cache.find(2), nullptr);
-}
 
 truth_table random_tt(uint32_t num_vars, std::mt19937_64& rng)
 {
@@ -76,47 +26,53 @@ truth_table random_tt(uint32_t num_vars, std::mt19937_64& rng)
     return t;
 }
 
-TEST(memo_invariance, npn_cache_eviction_does_not_change_results)
+bool same_classification(const classification_result& a,
+                         const classification_result& b)
 {
-    // Capacity far below the working set: every entry is evicted and
-    // recomputed repeatedly; results must not depend on hit vs. miss.
-    std::mt19937_64 rng{11};
-    npn_cache tiny{4};
-    std::vector<truth_table> functions;
-    for (int i = 0; i < 24; ++i)
-        functions.push_back(random_tt(4, rng));
-    for (int pass = 0; pass < 3; ++pass) {
-        for (const auto& f : functions) {
-            const auto& result = tiny.canonize(f);
-            ASSERT_EQ(result.representative, npn_canonize(f).representative);
-            ASSERT_EQ(result.transform.apply(result.representative), f);
-        }
-    }
-    EXPECT_GT(tiny.misses(), 24u); // evictions forced recomputation
+    return a.success == b.success && a.iterations == b.iterations &&
+           a.representative == b.representative &&
+           a.transform.m_columns == b.transform.m_columns &&
+           a.transform.c == b.transform.c && a.transform.v == b.transform.v &&
+           a.transform.output_complement == b.transform.output_complement;
 }
 
-TEST(memo_invariance, classification_cache_eviction_does_not_change_results)
+TEST(memo_invariance, shared_memo_classifies_each_function_once)
 {
+    // Several threads classify overlapping function sets through one
+    // context memo: every thread starts at a different offset into the
+    // same list, so the first lookups of most functions race.  Results
+    // must equal classify_affine's, and the memo must have classified
+    // each distinct function exactly once.
     std::mt19937_64 rng{12};
-    classification_cache tiny{{}, 2};
-    classification_cache big{{}};
     std::vector<truth_table> functions;
-    for (int i = 0; i < 12; ++i)
-        functions.push_back(random_tt(4, rng));
-    // Two full passes: the tiny cache has evicted each entry long before it
-    // comes around again, the big cache hits every repeat.
-    for (int pass = 0; pass < 2; ++pass) {
-        for (const auto& f : functions) {
-            const auto& a = tiny.classify(f);
-            ASSERT_TRUE(a.success);
-            const auto rep_a = a.representative; // copy: `b` may evict `a`
-            const auto& b = big.classify(f);
-            ASSERT_TRUE(b.success);
-            ASSERT_EQ(rep_a, b.representative) << f.to_hex();
-        }
-    }
-    EXPECT_GT(tiny.misses(), big.misses());
-    EXPECT_GT(big.hits(), 0u);
+    for (int i = 0; i < 48; ++i)
+        functions.push_back(random_tt(4 + i % 2, rng));
+    for (int i = 0; i < 16; ++i) // repeats inside each thread's walk
+        functions.push_back(functions[3 * i]);
+
+    pass_context ctx;
+    auto& memo = ctx.classification();
+    constexpr size_t num_threads = 4;
+    std::atomic<int> mismatches{0};
+    std::vector<std::thread> team;
+    for (size_t t = 0; t < num_threads; ++t)
+        team.emplace_back([&, t] {
+            for (size_t i = 0; i < functions.size(); ++i) {
+                const auto& f = functions[(i + 16 * t) % functions.size()];
+                if (!same_classification(memo.classify(f),
+                                         classify_affine(f)))
+                    ++mismatches;
+            }
+        });
+    for (auto& th : team)
+        th.join();
+
+    EXPECT_EQ(mismatches.load(), 0);
+    const std::unordered_set<truth_table, truth_table_hash> distinct(
+        functions.begin(), functions.end());
+    EXPECT_EQ(memo.misses(), distinct.size());
+    EXPECT_EQ(memo.size(), distinct.size());
+    EXPECT_EQ(memo.hits() + memo.misses(), num_threads * functions.size());
 }
 
 TEST(memo_invariance, classification_cache_counts_traffic)

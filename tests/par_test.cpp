@@ -19,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <random>
 #include <sstream>
@@ -260,22 +261,35 @@ TEST(sharded_database, builder_exception_releases_the_slot)
 
 // ------------------------------------------- two-phase round determinism
 
-/// Optimize through the two-phase engine at `threads` workers and return
-/// (serialized network, total replacements).
-std::pair<std::string, uint64_t> optimize(xag net, uint32_t threads,
-                                          flow_params params = {},
-                                          const char* spec = "mc+xor")
+/// What a flow run at some worker count produced: the serialized network,
+/// the total replacements, and the summed per-round memo and database
+/// traffic (canon hits, canon misses, db hits, db misses).
+struct optimized {
+    std::string net;
+    uint64_t replacements = 0;
+    std::array<uint64_t, 4> traffic{};
+};
+
+/// Optimize through the two-phase engine at `threads` workers.
+optimized optimize(xag net, uint32_t threads, flow_params params = {},
+                   const char* spec = "mc+xor")
 {
     params.num_threads = threads;
     pass_context ctx{context_params(params)};
     const auto result = run_flow(net, make_flow(spec, params), ctx);
-    uint64_t replacements = 0;
+    optimized out;
     for (const auto& p : result.passes)
-        for (const auto& r : p.rounds)
-            replacements += r.replacements;
+        for (const auto& r : p.rounds) {
+            out.replacements += r.replacements;
+            out.traffic[0] += r.canon_cache_hits;
+            out.traffic[1] += r.canon_cache_misses;
+            out.traffic[2] += r.db_hits;
+            out.traffic[3] += r.db_misses;
+        }
     std::ostringstream os;
     write_bench(cleanup(net), os);
-    return {os.str(), replacements};
+    out.net = os.str();
+    return out;
 }
 
 void expect_thread_count_invariant(const xag& source,
@@ -284,16 +298,21 @@ void expect_thread_count_invariant(const xag& source,
                                    const char* spec = "mc+xor")
 {
     const auto golden = cleanup(source);
-    const auto [net1, repl1] = optimize(cleanup(source), 1, params, spec);
-    const auto [net2, repl2] = optimize(cleanup(source), 2, params, spec);
-    const auto [net8, repl8] = optimize(cleanup(source), 8, params, spec);
-    EXPECT_EQ(net1, net2) << what << ": 2 threads diverged";
-    EXPECT_EQ(net1, net8) << what << ": 8 threads diverged";
-    EXPECT_EQ(repl1, repl2) << what;
-    EXPECT_EQ(repl1, repl8) << what;
+    const auto run1 = optimize(cleanup(source), 1, params, spec);
+    for (const uint32_t threads : {2u, 8u}) {
+        const auto run = optimize(cleanup(source), threads, params, spec);
+        EXPECT_EQ(run1.net, run.net) << what << ": " << threads
+                                     << " threads diverged";
+        EXPECT_EQ(run1.replacements, run.replacements) << what;
+        // One memo and one database per context: each key is built once
+        // whichever worker asks first, so the traffic is schedule-free.
+        EXPECT_EQ(run1.traffic, run.traffic)
+            << what << ": " << threads << " threads changed the "
+            << "canon/db hit-miss totals";
+    }
 
     // And the deterministic result is still the right function.
-    std::istringstream is{net1};
+    std::istringstream is{run1.net};
     const auto reparsed = read_bench(is);
     if (golden.num_pis() <= 16)
         EXPECT_TRUE(exhaustive_equal(reparsed, golden)) << what;

@@ -284,11 +284,11 @@ TEST(pass_framework, context_resources_are_shared_across_passes)
     mc_rewrite_pass p;
     p.run(net1, ctx);
     const auto db_size = ctx.mc_db().size();
-    const auto misses_after_first = ctx.scratch(0).classification.misses();
+    const auto misses_after_first = ctx.classification().misses();
     p.run(net2, ctx);
-    // Second network hits the warmed database and cache shard.
+    // Second network hits the warmed database and classification memo.
     EXPECT_EQ(ctx.mc_db().size(), db_size);
-    EXPECT_EQ(ctx.scratch(0).classification.misses(), misses_after_first);
+    EXPECT_EQ(ctx.classification().misses(), misses_after_first);
     EXPECT_EQ(ctx.history.size(), 2u);
 }
 

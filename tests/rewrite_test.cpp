@@ -212,7 +212,7 @@ TEST(mc_rewrite_suite, cache_is_effective_across_rounds)
     for (const auto& r : ps.rounds)
         hits += r.canon_cache_hits;
     EXPECT_GT(hits, 0u);
-    EXPECT_GT(ctx.scratch(0).classification.size(), 0u);
+    EXPECT_GT(ctx.classification().size(), 0u);
 }
 
 TEST(mc_rewrite_suite, respects_cut_size_parameter)

@@ -1,3 +1,4 @@
+#include "oracle/classify_affine_baseline.h"
 #include "spectral/classification.h"
 #include "tt/operations.h"
 #include "tt/truth_table.h"
@@ -384,8 +385,8 @@ void expect_engines_agree(const truth_table& f, uint64_t iteration_limit)
 {
     const auto fast =
         classify_affine(f, {.iteration_limit = iteration_limit});
-    const auto slow =
-        classify_affine_baseline(f, {.iteration_limit = iteration_limit});
+    const auto slow = oracle::classify_affine_baseline(
+        f, {.iteration_limit = iteration_limit});
     ASSERT_EQ(fast.success, slow.success) << "f = " << f.to_hex();
     if (!fast.success)
         return;
@@ -424,8 +425,8 @@ TEST(classify_affine_vs_baseline, truncation_agrees_under_tight_limits)
         for (int rep = 0; rep < 10; ++rep) {
             const auto f = random_tt(6, rng);
             const auto fast = classify_affine(f, {.iteration_limit = limit});
-            const auto slow =
-                classify_affine_baseline(f, {.iteration_limit = limit});
+            const auto slow = oracle::classify_affine_baseline(
+                f, {.iteration_limit = limit});
             EXPECT_EQ(fast.success, slow.success) << "f = " << f.to_hex();
             EXPECT_EQ(fast.iterations, slow.iterations)
                 << "f = " << f.to_hex();
