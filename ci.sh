@@ -25,6 +25,7 @@ cmake --build build -j"$(nproc)"
 oracle_symbols='legacy_solver|enumerate_cuts_scalar|check_equivalence'
 oracle_symbols+='|cone_verifier|encode_cones'
 oracle_symbols+='|classify_affine_baseline|npn_canonize_baseline'
+oracle_symbols+='|extract_pairs_reference'
 if nm -C build/libmcx.a | grep -E "$oracle_symbols"; then
     echo "ci.sh: libmcx.a contains a test-only oracle symbol" >&2
     exit 1
@@ -109,7 +110,8 @@ cmp build/adder16_opt.bench build/adder16_sat.bench || {
 # Parallel flow smoke (docs/parallel.md determinism contract): the
 # default run (one worker) must be bit-identical to explicit --threads 1
 # and --threads 4 runs — on adder16, on aes128, whose XOR pass has a
-# binding pairing budget, on des4, the first deep circuit of the set, and
+# binding pairing budget, on des4, the first deep circuit of the set, on
+# multiplier16, whose 494 admitted XOR rows are seeded on the team, and
 # for the XOR pass alone on md5, whose wide accumulator rows lie beyond
 # the pairing budget.
 ./build/tools/mcx --flow mc+xor --threads 4 gen:adder:16 \
@@ -126,12 +128,19 @@ cmp build/adder16_opt.bench build/adder16_sat.bench || {
     -o build/des4_par1.bench
 ./build/tools/mcx --flow mc+xor --threads 4 gen:des:4 \
     -o build/des4_par4.bench
+./build/tools/mcx --flow mc+xor gen:multiplier:16 \
+    -o build/mult16_opt.bench
+./build/tools/mcx --flow mc+xor --threads 1 gen:multiplier:16 \
+    -o build/mult16_par1.bench
+./build/tools/mcx --flow mc+xor --threads 4 gen:multiplier:16 \
+    -o build/mult16_par4.bench
 ./build/tools/mcx --flow xor gen:md5 -o build/md5_xor.bench
 ./build/tools/mcx --flow xor --threads 1 gen:md5 -o build/md5_xor_par1.bench
 ./build/tools/mcx --flow xor --threads 4 gen:md5 -o build/md5_xor_par4.bench
 for pair in adder16_opt:adder16_par1 adder16_opt:adder16_par4 \
             aes128_opt:aes128_par1 aes128_opt:aes128_par4 \
             des4_opt:des4_par1 des4_opt:des4_par4 \
+            mult16_opt:mult16_par1 mult16_opt:mult16_par4 \
             md5_xor:md5_xor_par1 md5_xor:md5_xor_par4; do
     cmp "build/${pair%%:*}.bench" "build/${pair##*:}.bench" || {
         echo "ci.sh: ${pair##*:} output differs from the default run" >&2
@@ -186,7 +195,8 @@ events = trace["traceEvents"]
 names = {e["name"] for e in events}
 for required in ["process_name", "flow", "mc-rewrite", "round",
                  "phase.evaluate", "phase.commit", "pool.task",
-                 "xor-resynthesis", "phase.xor-expand", "phase.xor-pair"]:
+                 "xor-resynthesis", "phase.xor-expand", "phase.xor-seed",
+                 "phase.xor-pair", "phase.xor-rebuild"]:
     assert required in names, f"trace lacks a {required!r} event"
 begins = sum(1 for e in events if e["ph"] == "B")
 ends = sum(1 for e in events if e["ph"] == "E")
@@ -383,9 +393,9 @@ done
 
 # Thread+UB sanitizer job: the parallel subsystem (thread pool, sharded
 # databases and the shared classification memo, two-phase round,
-# level-parallel cut maintenance), the pass framework, and the
-# governance/fault paths under TSan with UBSan riding
-# along (-fno-sanitize-recover makes any UB a hard failure).  The par_test
+# level-parallel cut maintenance, the XOR pass's pair-count seeding), the
+# pass framework, and the governance/fault paths under TSan with UBSan
+# riding along (-fno-sanitize-recover makes any UB a hard failure).  The par_test
 # and cut_incremental_test determinism sweeps are trimmed to one
 # representative family each — full generator sweeps under the ~10x
 # sanitizer slowdown belong in a nightly, not the per-commit gate.
@@ -394,21 +404,30 @@ cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread,undefined"
 cmake --build build-tsan -j"$(nproc)" --target par_test pass_test \
     cut_incremental_test incremental_eval_test robustness_test obs_test \
-    memo_test
-(cd build-tsan &&
-    GTEST_FILTER='work_deque.*:thread_pool.*:sharded_database.*:two_phase_determinism.aes_family' \
-        ctest -R par_test --output-on-failure &&
-    GTEST_FILTER='metrics.*:tracing.*' \
-        ctest -R obs_test --output-on-failure &&
-    GTEST_FILTER='memo_invariance.shared_memo_classifies_each_function_once' \
-        ctest -R memo_test --output-on-failure &&
-    GTEST_FILTER='cut_arena_incremental.*:cut_maintainer.*:incremental_differential.aes_family' \
-        ctest -R cut_incremental_test --output-on-failure &&
-    GTEST_FILTER='evaluate_differential.aes_family:evaluate_cache.*' \
-        ctest -R incremental_eval_test --output-on-failure &&
-    ctest -R pass_test --output-on-failure &&
-    GTEST_FILTER='robustness.stopped_token_unblocks_waiter_on_stuck_builder:robustness.fault_matrix_verified_network_or_typed_error' \
-        ctest -R robustness_test --output-on-failure)
+    memo_test xor_resynthesis_test
+# Every suite runs even when an earlier one fails, so that one report
+# (such as a sanitizer-runtime race) cannot hide the suites after it; the
+# job fails at the end if any suite failed.
+tsan_failed=()
+while read -r suite filter; do
+    (cd build-tsan &&
+        GTEST_FILTER="$filter" ctest -R "$suite" --output-on-failure \
+            </dev/null) ||
+        tsan_failed+=("$suite")
+done <<'SUITES'
+par_test work_deque.*:thread_pool.*:sharded_database.*:two_phase_determinism.aes_family
+obs_test metrics.*:tracing.*
+memo_test memo_invariance.shared_memo_classifies_each_function_once
+cut_incremental_test cut_arena_incremental.*:cut_maintainer.*:incremental_differential.aes_family
+incremental_eval_test evaluate_differential.aes_family:evaluate_cache.*
+pass_test *
+robustness_test robustness.stopped_token_unblocks_waiter_on_stuck_builder:robustness.fault_matrix_verified_network_or_typed_error
+xor_resynthesis_test xor_resynthesis_pass.pool_seeding_is_deterministic:xor_resynthesis_pass.pool_splits_single_wide_rows_deterministically
+SUITES
+if [ "${#tsan_failed[@]}" -ne 0 ]; then
+    echo "ci.sh: sanitizer job failed in: ${tsan_failed[*]}" >&2
+    exit 1
+fi
 
 # Address+UB sanitizer job over the SAT core: the arena with its
 # relocation GC, the binary-watcher encoding, and the preprocessor's

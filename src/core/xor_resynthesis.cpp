@@ -1,29 +1,17 @@
 #include "core/xor_resynthesis.h"
 
 #include "core/mffc.h"
+#include "core/xor_pairing.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "par/thread_pool.h"
 
 #include <algorithm>
 #include <iterator>
-#include <optional>
-#include <queue>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 namespace mcx {
-
-namespace {
-
-/// A linear row: the terms whose parity a block computes, as ascending
-/// ids.  Ids below the network size are terminal nodes (AND gates, PIs);
-/// planned pair k of the extraction below is `base_size + k`.  One form
-/// carries a row from expansion through pairing to the chain rebuild.
-using row = std::vector<uint32_t>;
-
-} // namespace
 
 xor_resynthesis_stats xor_resynthesis(xag& network,
                                       const xor_resynthesis_params& params)
@@ -70,7 +58,7 @@ xor_resynthesis_stats xor_resynthesis(xag& network,
     // the parity of the complemented edges and fanin constants.  Each row
     // is computed once and freed when its last XOR reader has merged it,
     // unless it is a root.
-    std::vector<row> rows(base_size);
+    std::vector<linear_row> rows(base_size);
     std::vector<uint8_t> constant(base_size, 0);
     {
         obs::trace::trace_span expand_span{"phase.xor-expand"};
@@ -99,18 +87,16 @@ xor_resynthesis_stats xor_resynthesis(xag& network,
                     continue;
                 constant[n] ^= constant[m];
                 if (--xor_readers[m] == 0 && !is_root[m])
-                    row{}.swap(rows[m]);
+                    linear_row{}.swap(rows[m]);
             }
         }
         expand_span.set_arg(roots.size());
     }
     stats.blocks = static_cast<uint32_t>(roots.size());
 
-    // Paar's greedy algorithm on the whole system: extract the most common
-    // terminal pair as a new shared term until no pair repeats.  Pair
-    // counts are maintained incrementally (rebuilding them per extraction
-    // is quadratic and intractable on hash-sized linear systems), with a
-    // lazily-invalidated max-heap selecting the next pair.
+    // Paar's greedy algorithm on the whole system (core/xor_pairing.h):
+    // extract the most common terminal pair as a new shared term until no
+    // pair repeats.
     //
     // Rows of any width take part in pair extraction.  Pair seeding is
     // quadratic per row, so admission is narrowest-first under a Σwidth²
@@ -119,9 +105,8 @@ xor_resynthesis_stats xor_resynthesis(xag& network,
     // unbounded seeding would be ~10¹⁰ operations on MD5 — keep their
     // existing trees.  Admission depends only on the multiset of row
     // widths, so the result is deterministic.
-    const uint32_t seed_workers =
+    stats.seed_workers =
         params.pool != nullptr ? params.pool->num_workers() : 1;
-    stats.seed_workers = seed_workers;
 
     const auto width = [&](uint32_t r) {
         return static_cast<uint32_t>(rows[roots[r]].size());
@@ -153,166 +138,27 @@ xor_resynthesis_stats xor_resynthesis(xag& network,
         }
     }
 
-    // Pairing rewrites a copy of each admitted row; the expansion stays as
-    // the leaf set of the MFFC gain check below.
-    std::vector<row> paired(roots.size());
-    struct planned_pair {
-        uint32_t a, b; ///< term ids (terminal or earlier planned pair)
-    };
-    std::vector<planned_pair> plan;
-
-    using term_pair = std::pair<uint32_t, uint32_t>;
-    struct pair_hash {
-        size_t operator()(const term_pair& p) const
-        {
-            return (static_cast<size_t>(p.first) << 32) ^ p.second;
-        }
-    };
-    using pair_counts = std::unordered_map<term_pair, uint32_t, pair_hash>;
-    pair_counts pair_count;
-    std::unordered_map<uint32_t, std::vector<uint32_t>> rows_of_term;
-    std::priority_queue<std::pair<uint32_t, term_pair>> heap;
-
-    const auto ordered = [](uint32_t a, uint32_t b) {
-        return a < b ? term_pair{a, b} : term_pair{b, a};
-    };
-    const auto bump = [&](uint32_t a, uint32_t b, int delta) {
-        const auto key = ordered(a, b);
-        auto& count = pair_count[key];
-        count = static_cast<uint32_t>(static_cast<int>(count) + delta);
-        if (delta > 0 && count >= 2)
-            heap.push({count, key});
-    };
-
-    // Seeding: count every pair of every admitted row.  The quadratic
-    // per-row loops split into (row, outer-index-range) chunks, so one
-    // very wide admitted row (a hash accumulator row can dominate the
-    // whole Σwidth² budget) spreads across the team instead of serializing
-    // on one worker.  Each worker counts into its own map and the maps
-    // merge afterwards; without a pool the same chunks run inline.  Sums
-    // are schedule-independent, and the heap is seeded once per pair at
-    // its final count, so extraction pops the same pairs in the same order
-    // at any worker count.
-    struct seed_chunk {
-        uint32_t row;        ///< root index of an admitted row
-        uint32_t begin, end; ///< outer-index range [begin, end)
-    };
-    std::vector<seed_chunk> chunks;
-    {
-        uint64_t total_pairs = 0;
-        for (uint32_t r = 0; r < roots.size(); ++r) {
-            if (!admitted[r])
-                continue;
+    // Pairing rewrites a copy of each admitted row (the others stay empty
+    // and take no part); the expansion stays as the leaf set of the MFFC
+    // gain check below.
+    std::vector<linear_row> paired(roots.size());
+    for (uint32_t r = 0; r < roots.size(); ++r)
+        if (admitted[r])
             paired[r] = rows[roots[r]];
-            for (const auto t : paired[r])
-                rows_of_term[t].push_back(r);
-            const uint64_t w = width(r);
-            total_pairs += w * (w - 1) / 2;
-        }
-        // ~8 chunks per worker smooths the work-stealing partition; the
-        // floor keeps per-chunk map overhead negligible for small rounds.
-        const uint64_t chunk_target = std::max<uint64_t>(
-            4096, total_pairs / (uint64_t{8} * seed_workers + 1));
-        for (uint32_t r = 0; r < roots.size(); ++r) {
-            if (!admitted[r])
-                continue;
-            const auto w = width(r);
-            uint32_t begin = 0;
-            uint64_t acc = 0;
-            for (uint32_t a = 0; a + 1 < w; ++a) {
-                acc += w - a - 1; // pairs contributed by outer index a
-                if (acc >= chunk_target) {
-                    chunks.push_back({r, begin, a + 1});
-                    begin = a + 1;
-                    acc = 0;
-                }
-            }
-            if (begin + 1 < w)
-                chunks.push_back({r, begin, w - 1});
-        }
-    }
-    std::vector<pair_counts> local(seed_workers);
-    const auto count_chunk = [&](size_t i, uint32_t worker) {
-        const auto& chunk = chunks[i];
-        const auto& t = paired[chunk.row];
-        auto& counts = local[worker];
-        for (size_t a = chunk.begin; a < chunk.end; ++a)
-            for (size_t b = a + 1; b < t.size(); ++b)
-                ++counts[{t[a], t[b]}];
-    };
-    if (params.pool != nullptr)
-        params.pool->parallel_for(0, chunks.size(), count_chunk);
-    else
-        for (size_t i = 0; i < chunks.size(); ++i)
-            count_chunk(i, 0);
-    for (const auto& counts : local)
-        for (const auto& [key, c] : counts)
-            pair_count[key] += c;
-    local.clear();
-    for (const auto& [key, c] : pair_count)
-        if (c >= 2)
-            heap.push({c, key});
+    const auto pairing =
+        extract_pairs(paired, base_size, params.pool, params.token);
+    const auto& plan = pairing.pairs;
+    stats.pairs_extracted = static_cast<uint32_t>(plan.size());
+    stats.status = pairing.status;
 
-    // Stopping mid-extraction (or mid-rebuild below) must not throw: the
-    // protected-ref release sweeps at the end are unconditional cleanup,
-    // so the token breaks out of the loops and the stats carry the reason.
-    uint64_t extract_steps = 0;
+    // Stopping mid-rebuild must not throw: the protected-ref release
+    // sweeps at the end are unconditional cleanup, so the token breaks out
+    // of the loop and the stats carry the reason.
     const auto stop_reason = [&]() -> outcome {
         const auto reason = params.token.stop_reason();
         return reason == outcome::ok ? outcome::cancelled : reason;
     };
-    // Ends after the extraction loop via reset() — the loop body is too
-    // entangled with surrounding locals for a scoped block.
-    std::optional<obs::trace::trace_span> pair_span{std::in_place,
-                                                    "phase.xor-pair"};
-    while (!heap.empty()) {
-        if ((++extract_steps & 1023u) == 0 &&
-            params.token.stop_requested()) {
-            stats.status = stop_reason();
-            break;
-        }
-        const auto [count, key] = heap.top();
-        heap.pop();
-        const auto it = pair_count.find(key);
-        if (it == pair_count.end() || it->second != count) {
-            // Stale entry: if the pair still qualifies with its decreased
-            // count, requeue it at that count (strictly smaller each time,
-            // so this terminates).
-            if (it != pair_count.end() && it->second >= 2 &&
-                it->second < count)
-                heap.push({it->second, key});
-            continue;
-        }
-        if (count < 2)
-            break;
-        const auto [a, b] = key;
-        // Above every terminal and every earlier pair, so appending it
-        // keeps a row ascending.
-        const auto id = base_size + static_cast<uint32_t>(plan.size());
-        plan.push_back({a, b});
-        ++stats.pairs_extracted;
-
-        for (const auto r : rows_of_term[a]) {
-            auto& terms = paired[r];
-            if (!std::binary_search(terms.begin(), terms.end(), a) ||
-                !std::binary_search(terms.begin(), terms.end(), b))
-                continue;
-            // Update counts for every other term of this row.
-            for (const auto t : terms)
-                if (t != a && t != b) {
-                    bump(a, t, -1);
-                    bump(b, t, -1);
-                    bump(id, t, +1);
-                }
-            bump(a, b, -1);
-            std::erase_if(terms, [&](uint32_t t) { return t == a || t == b; });
-            terms.push_back(id);
-            rows_of_term[id].push_back(r);
-        }
-    }
-    if (pair_span)
-        pair_span->set_arg(stats.pairs_extracted);
-    pair_span.reset();
+    obs::trace::trace_span rebuild_span{"phase.xor-rebuild"};
 
     // Pin every real terminal: substitution cascades below may restructure
     // later rows' old cones and would otherwise free terminals before

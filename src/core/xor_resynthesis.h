@@ -34,9 +34,11 @@ struct xor_resynthesis_params {
     /// exercises both).
     uint64_t pairing_work_budget = 2'000'000;
     /// Worker team for pair-count seeding (the Σwidth² part); nullptr
-    /// runs the same seeding chunks inline on the caller.  Extraction and
-    /// the chain rebuilds stay sequential — they mutate shared state and
-    /// their cost is linear in the extracted pairs.
+    /// counts inline on the caller.  Extraction and the chain rebuilds
+    /// stay sequential: they mutate shared state.  Extraction costs one
+    /// count update per other term of each row a pair is extracted from,
+    /// plus a heap pop per queued pair whose count fell since it was
+    /// queued (core/xor_pairing.cpp).
     thread_pool* pool = nullptr;
     /// Cooperative stop.  Checked between pair extractions and between row
     /// rebuilds; stopping skips the remaining work (the rows already

@@ -1,9 +1,12 @@
 #include "core/pass.h"
+#include "core/xor_pairing.h"
 #include "core/xor_resynthesis.h"
 #include "gen/arithmetic.h"
+#include "gen/des.h"
 #include "gen/hashes.h"
 #include "gen/lightweight.h"
 #include "io/bench.h"
+#include "oracle/xor_pairing_reference.h"
 #include "par/thread_pool.h"
 #include "xag/cleanup.h"
 #include "xag/simulate.h"
@@ -12,8 +15,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <random>
 #include <sstream>
+#include <string>
 
 namespace mcx {
 namespace {
@@ -403,6 +409,126 @@ TEST(xor_resynthesis_pass, keccak_generator_produces_wide_rows)
     EXPECT_GT(stats.rows_paired, 0u);
     EXPECT_LE(stats.xors_after, stats.xors_before);
     EXPECT_TRUE(random_simulation_equal(cleanup(net), golden, 16));
+}
+
+// ------------------------------------------- pair extraction vs. oracle
+
+/// The rows the XOR pass pairs on `net`: each block root's terminals, in
+/// root order, with the rows beyond the default Σwidth² budget (admitted
+/// narrowest first) left empty.
+std::vector<linear_row> block_rows(const xag& net)
+{
+    std::vector<linear_row> rows(net.size());
+    std::vector<uint8_t> is_root(net.size(), 0);
+    for (const auto n : net.topological_order()) {
+        if (!net.is_and(n) && !net.is_xor(n))
+            continue;
+        linear_row operand[2];
+        for (int i = 0; i < 2; ++i) {
+            const auto m = (i == 0 ? net.fanin0(n) : net.fanin1(n)).node();
+            if (net.is_xor(m)) {
+                operand[i] = rows[m];
+                is_root[m] |= net.is_and(n) ? 1 : 0;
+            } else if (m != 0) {
+                operand[i] = {m};
+            }
+        }
+        if (net.is_xor(n))
+            std::set_symmetric_difference(
+                operand[0].begin(), operand[0].end(), operand[1].begin(),
+                operand[1].end(), std::back_inserter(rows[n]));
+    }
+    for (uint32_t i = 0; i < net.num_pos(); ++i)
+        if (net.is_xor(net.po_at(i).node()))
+            is_root[net.po_at(i).node()] = 1;
+    std::vector<linear_row> roots;
+    for (uint32_t n = 0; n < net.size(); ++n)
+        if (is_root[n])
+            roots.push_back(std::move(rows[n]));
+    std::vector<uint32_t> by_width(roots.size());
+    for (uint32_t r = 0; r < roots.size(); ++r)
+        by_width[r] = r;
+    std::stable_sort(by_width.begin(), by_width.end(),
+                     [&](uint32_t a, uint32_t b) {
+                         return roots[a].size() < roots[b].size();
+                     });
+    uint64_t work = 0;
+    for (const auto r : by_width) {
+        const uint64_t w = roots[r].size();
+        if (work + w * w > xor_resynthesis_params{}.pairing_work_budget)
+            roots[r].clear();
+        else
+            work += w * w;
+    }
+    return roots;
+}
+
+/// Extract pairs from `rows` with the oracle, then with the fast path
+/// inline and on 1- and 4-worker pools: the plans and the rewritten rows
+/// must be equal.  Returns the length of the oracle's plan.
+size_t expect_plans_equal(const std::vector<linear_row>& rows,
+                        uint32_t first_pair, const std::string& what)
+{
+    auto expected_rows = rows;
+    const auto expected = oracle::extract_pairs_reference(
+        expected_rows, first_pair, nullptr, {});
+    const auto same = [&](const pair_plan& plan,
+                          const std::vector<linear_row>& paired,
+                          const std::string& how) {
+        ASSERT_EQ(plan.pairs.size(), expected.pairs.size()) << what << how;
+        for (size_t k = 0; k < plan.pairs.size(); ++k) {
+            ASSERT_EQ(plan.pairs[k].a, expected.pairs[k].a)
+                << what << how << " pair " << k;
+            ASSERT_EQ(plan.pairs[k].b, expected.pairs[k].b)
+                << what << how << " pair " << k;
+        }
+        EXPECT_EQ(plan.status, outcome::ok) << what << how;
+        EXPECT_EQ(paired, expected_rows) << what << how;
+    };
+    auto paired = rows;
+    same(extract_pairs(paired, first_pair, nullptr, {}), paired, " inline");
+    for (const uint32_t workers : {1u, 4u}) {
+        thread_pool pool{workers};
+        paired = rows;
+        same(extract_pairs(paired, first_pair, &pool, {}), paired,
+             " on " + std::to_string(workers) + " workers");
+    }
+    return expected.pairs.size();
+}
+
+TEST(xor_pairing_differential, random_systems_over_small_alphabets)
+{
+    // Few terms and many rows: most pairs tie on count, so the plans agree
+    // only if the tie-break (larger (a, b) first) agrees.
+    std::mt19937_64 rng{2024};
+    size_t pairs = 0;
+    for (int rep = 0; rep < 300; ++rep) {
+        const auto alphabet = static_cast<uint32_t>(4 + rng() % 12);
+        const auto num_rows = static_cast<uint32_t>(2 + rng() % 40);
+        std::vector<linear_row> rows(num_rows);
+        for (auto& row : rows) {
+            // Terms start at 1, as terminal 0 is the constant node.
+            for (uint32_t t = 1; t <= alphabet; ++t)
+                if (rng() % 3 != 0)
+                    row.push_back(t);
+        }
+        const auto first_pair =
+            alphabet + 1 + static_cast<uint32_t>(rng() % 3);
+        pairs += expect_plans_equal(rows, first_pair,
+                                    "rep " + std::to_string(rep));
+    }
+    EXPECT_GT(pairs, 1000u); // the systems do share pairs
+}
+
+TEST(xor_pairing_differential, generator_rows)
+{
+    for (const auto& [name, net] :
+         {std::pair{"multiplier:8", gen_multiplier(8)},
+          std::pair{"des:2", gen_des(2)},
+          std::pair{"keccak:8", gen_keccak_f(8)}}) {
+        const auto rows = block_rows(net);
+        EXPECT_GT(expect_plans_equal(rows, net.size(), name), 0u) << name;
+    }
 }
 
 } // namespace
