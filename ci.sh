@@ -196,7 +196,7 @@ names = {e["name"] for e in events}
 for required in ["process_name", "flow", "mc-rewrite", "round",
                  "phase.evaluate", "phase.commit", "pool.task",
                  "xor-resynthesis", "phase.xor-expand", "phase.xor-seed",
-                 "phase.xor-pair", "phase.xor-rebuild"]:
+                 "phase.xor-pair", "phase.xor-rebuild", "spectral.classify"]:
     assert required in names, f"trace lacks a {required!r} event"
 begins = sum(1 for e in events if e["ph"] == "B")
 ends = sum(1 for e in events if e["ph"] == "E")
@@ -429,17 +429,22 @@ if [ "${#tsan_failed[@]}" -ne 0 ]; then
     exit 1
 fi
 
-# Address+UB sanitizer job over the SAT core: the arena with its
-# relocation GC, the binary-watcher encoding, and the preprocessor's
-# clause surgery are exactly the kind of raw-index pointer arithmetic
-# ASan exists for.  The full sat_test suite — the solver, its
-# differential fuzz against the legacy oracle, preprocessing units — runs
-# under ASan+UBSan.
+# Address+UB sanitizer job over the SAT core and the affine classifier:
+# the arena with its relocation GC, the binary-watcher encoding, the
+# preprocessor's clause surgery, and the classifier's per-level scratch
+# and leaf memo (raw-index tables) are exactly the kind of raw-index
+# pointer arithmetic ASan exists for.  The full sat_test suite — the
+# solver, its differential fuzz against the legacy oracle, preprocessing
+# units — and spectral_test's differential suites against the scalar
+# classifier (all but the exhaustive sweep) run under ASan+UBSan.
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=undefined" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
-cmake --build build-asan -j"$(nproc)" --target sat_test
+cmake --build build-asan -j"$(nproc)" --target sat_test spectral_test
 (cd build-asan && ctest -R sat_test --output-on-failure)
+(cd build-asan &&
+    GTEST_FILTER='classify_affine_vs_baseline.*-classify_affine_vs_baseline.exhaustive_up_to_4_inputs' \
+        ctest -R spectral_test --output-on-failure)
 
 echo "ci.sh: all gates passed (JSON artifacts: BENCH_micro_core.json," \
      "FLOW_smoke_gen.json, FLOW_smoke_bench.json, FLOW_smoke_par.json," \

@@ -1,5 +1,6 @@
 #include "spectral/classification.h"
 
+#include "obs/trace.h"
 #include "tt/operations.h"
 #include "tt/spectrum_words.h"
 #include "tt/words.h"
@@ -122,7 +123,12 @@ namespace {
 ///    incumbent suffix instead of materializing and sorting the unused
 ///    coefficients — same comparison outcome, no sort;
 ///  * extending span{columns} by a candidate is popcount(m) masked word
-///    shifts (tt_flip_word on the span bitset) instead of a 2^n loop.
+///    shifts (tt_flip_word on the span bitset) instead of a 2^n loop;
+///  * last-level nodes are accounted from a per-incumbent memo instead of
+///    being rebuilt: at level n every candidate lies in the one coset left
+///    outside the span, so a tight level-(n-1) candidate's child is decided
+///    by that coset's signed block alone, which its parent already holds
+///    as two of its own candidate keys (see leaf_key).
 class word_canonizer {
 public:
     word_canonizer(const truth_table& f, const classification_params& params)
@@ -243,6 +249,7 @@ private:
                 best_transform_.v = v_;
                 best_transform_.output_complement = sigma_ < 0;
                 best_complete_ = true;
+                clear_leaf_memo(); // its outcomes were against the old one
             }
             return;
         }
@@ -266,6 +273,9 @@ private:
         const bool entry_best = best_complete_;
         const bool drop_ties = entry_best && level == n_;
         const block_keys entry_key = best_key_[level];
+        // One level above the leaves, every candidate's keys are kept by m:
+        // pairs of them are the leaf memo's keys (leaf_key).
+        const bool leaf_parent = level + 1 == n_;
 
         auto& cands = cand_pool_[level];
         auto& items = item_pool_[level];
@@ -405,6 +415,8 @@ private:
                     k1 = ((sub_c1_[m >> 1] >> sh) & 0xffffffff) << 32 |
                          0x0000000080808080ull;
                 }
+                if (leaf_parent)
+                    sibling_keys_[m] = {k0, 0, k1, 0};
                 if (!entry_best ||
                     (drop_ties ? k0 > entry_key[0] : k0 >= entry_key[0]))
                     items[count++] = pack_item(k0, m, false);
@@ -439,6 +451,8 @@ private:
                     spectrum_negate_if(blk[0], neg[0]));
                 const uint64_t k1 = spectrum_sort_key(
                     spectrum_negate_if(blk[0], ~neg[0] & tail_mask));
+                if (leaf_parent)
+                    sibling_keys_[m] = {k0, 0, k1, 0};
                 if (!entry_best ||
                     (drop_ties ? k0 > entry_key[0] : k0 >= entry_key[0]))
                     items[count++] = pack_item(k0, m, false);
@@ -460,6 +474,9 @@ private:
             c0.c_bit = false;
             c1.m = static_cast<uint8_t>(m);
             c1.c_bit = true;
+            if (leaf_parent) // words == 2: half <= 16 one level up
+                sibling_keys_[m] = {c0.key[0], c0.key[1], c1.key[0],
+                                    c1.key[1]};
             const int f0 =
                 entry_best ? compare_keys(c0.key, entry_key, words) : 1;
             const int f1 =
@@ -491,6 +508,14 @@ private:
                       });
         }
 
+        // Coset representatives for leaf_key: b1, the least index outside
+        // the span, and b2, the least outside the span extended by b1.
+        uint32_t b1 = 0, b2 = 0;
+        if (leaf_parent) {
+            b1 = static_cast<uint32_t>(std::countr_zero(~span_));
+            b2 = static_cast<uint32_t>(std::countr_zero(~extended_span(b1)));
+        }
+
         for (uint32_t rank = 0; rank < count; ++rank) {
             candidate unpacked;
             if (words == 1) {
@@ -506,6 +531,7 @@ private:
             const candidate& cand = unpacked;
             if (aborted_)
                 return;
+            leaf_entry* leaf = nullptr; // memo slot of a last-level child
             if (best_complete_) {
                 const int cmp =
                     compare_keys(cand.key, best_key_[level], words);
@@ -522,6 +548,28 @@ private:
                 // almost every last-level candidate ties the incumbent.
                 else if (level == n_)
                     continue;
+                // A tight candidate one level up: its child is a last-level
+                // node against this same incumbent, whose outcome the memo
+                // may already know — then only its iterations are charged.
+                else if (leaf_parent) {
+                    const auto key = leaf_key(cand, b1, b2);
+                    leaf = &leaf_slot(key);
+                    if (leaf->epoch == leaf_epoch_) {
+                        // The child's loop charges its evaluations two at a
+                        // time and, if the limit falls among them, stops at
+                        // exactly limit + 1 (the count never exceeds the
+                        // limit before a check).
+                        const uint64_t cost = leaf->pruned ? 0 : size_;
+                        if (iterations_ + cost > limit_) {
+                            iterations_ = limit_ + 1;
+                            aborted_ = true;
+                        } else {
+                            iterations_ += cost;
+                        }
+                        continue;
+                    }
+                    leaf->key = key;
+                }
             }
             if (!best_complete_) {
                 best_key_[level] = cand.key;
@@ -542,11 +590,7 @@ private:
                 c_ |= 1u << (level - 1);
             else
                 c_ &= ~(1u << (level - 1));
-            uint64_t permuted = span_;
-            for (uint32_t k = 0; k < n_; ++k)
-                if ((cand.m >> k) & 1)
-                    permuted = tt_flip_word(permuted, k);
-            span_ |= permuted; // span | {x ^ m : x in span}
+            span_ = extended_span(cand.m);
             for (uint32_t r = 0; r < half; ++r) {
                 const uint32_t row = m_table_[r] ^ cand.m;
                 m_table_[half + r] = row;
@@ -571,12 +615,90 @@ private:
                 }
             }
 
+            const uint64_t before = iterations_;
+            const uint32_t epoch = leaf_epoch_;
             dfs(level + 1);
             span_ = saved_span;
             for (uint32_t r = 0; r < half; ++r) {
                 used_[m_table_[half + r] ^ v_] = 0;
                 ++unused_mag_[std::abs(spectrum_[m_table_[half + r] ^ v_])];
             }
+            // A last-level node that completed no incumbent was either
+            // pruned (no evaluations) or evaluated all of its candidates
+            // and kept none; either way the same block decides the same.
+            if (leaf && !aborted_ && leaf_epoch_ == epoch &&
+                leaf_count_ < leaf_slots / 2) {
+                leaf->epoch = epoch;
+                leaf->pruned = iterations_ == before;
+                ++leaf_count_;
+            }
+        }
+    }
+
+    /// span | {x ^ m : x in span}.
+    uint64_t extended_span(uint32_t m) const
+    {
+        uint64_t permuted = span_;
+        for (uint32_t k = 0; k < n_; ++k)
+            if ((m >> k) & 1)
+                permuted = tt_flip_word(permuted, k);
+        return span_ | permuted;
+    }
+
+    /// The memo key of the last-level child of candidate `cand` at level
+    /// n - 1.  The child's span leaves one coset, so each of the child's
+    /// candidates (m0 ^ M d, c) has the block ±C[r ^ d], where C is the
+    /// coset's block from representative m0 under the child's sign mask:
+    /// that sign pattern is sigma times a character of the row, so
+    /// translating it by d flips it only globally.  The magnitudes the
+    /// child's prune reads are those of C too.  So against a fixed
+    /// incumbent, C alone decides whether the child is pruned or evaluates
+    /// all 2^n candidates and keeps none.  Rows r < half of C are candidate
+    /// (m0, c = 0)'s block here and rows half + r candidate
+    /// (m0 ^ cand.m, cand.c)'s, so C is two sibling keys.  m0 is b1, the
+    /// least index outside the span, unless cand.m shares its coset; then
+    /// it is b2, the least index outside span + b1.
+    block_keys leaf_key(const candidate& cand, uint32_t b1, uint32_t b2) const
+    {
+        const uint32_t m0 = (span_ >> (cand.m ^ b1)) & 1 ? b2 : b1;
+        const auto& low = sibling_keys_[m0];
+        const auto& high = sibling_keys_[m0 ^ cand.m];
+        const uint32_t c = cand.c_bit ? 2 : 0;
+        return {low[0], low[1], high[c], high[c + 1]};
+    }
+
+    /// Memo of last-level outcomes against the current incumbent, keyed by
+    /// leaf_key: open addressing with linear probing, at most half full.
+    /// An entry is live only under the current epoch, so completing a new
+    /// incumbent empties the table by bumping the epoch.
+    struct leaf_entry {
+        block_keys key{};
+        uint32_t epoch = 0;
+        bool pruned = false; ///< else: all candidates evaluated, none kept
+    };
+    static constexpr uint32_t leaf_bits = 8;
+    static constexpr uint32_t leaf_slots = 1u << leaf_bits;
+
+    /// The live entry for `key`, or the empty slot where it belongs.
+    leaf_entry& leaf_slot(const block_keys& key)
+    {
+        uint64_t h = 0;
+        for (const auto w : key)
+            h = (h ^ w) * 0x9e3779b97f4a7c15ull;
+        for (auto i = static_cast<uint32_t>(h >> (64 - leaf_bits));;
+             i = (i + 1) & (leaf_slots - 1)) {
+            auto& e = leaf_memo_[i];
+            if (e.epoch != leaf_epoch_ || e.key == key)
+                return e;
+        }
+    }
+
+    void clear_leaf_memo()
+    {
+        leaf_count_ = 0;
+        if (++leaf_epoch_ == 0) { // wrapped: stale epochs could match again
+            leaf_memo_.fill(leaf_entry{});
+            leaf_epoch_ = 1;
         }
     }
 
@@ -622,6 +744,13 @@ private:
     std::array<int32_t, 64> best_spectrum_{};
     affine_transform best_transform_;
     bool best_complete_ = false;
+
+    /// Level n - 1's candidate keys by m: {c = 0 words 0-1, c = 1 words
+    /// 0-1}, the second word zero for single-word blocks.
+    std::array<block_keys, 64> sibling_keys_{};
+    std::array<leaf_entry, leaf_slots> leaf_memo_{};
+    uint32_t leaf_epoch_ = 1;
+    uint32_t leaf_count_ = 0;
 };
 
 classification_result classify_trivial(const truth_table& f)
@@ -645,6 +774,17 @@ classification_result classify_affine(const truth_table& f,
         return classify_trivial(f);
     word_canonizer search{f, params};
     return search.run(f);
+}
+
+const classification_result&
+classification_cache::classify(const truth_table& f)
+{
+    return cache_.lookup_or_build(f, [this](const truth_table& g) {
+        obs::trace::trace_span span{"spectral.classify"};
+        auto result = classify_affine(g, params_);
+        span.set_arg(result.iterations);
+        return result;
+    });
 }
 
 } // namespace mcx

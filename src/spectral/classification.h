@@ -95,12 +95,9 @@ public:
     }
 
     /// Thread-safe; the reference stays valid for the cache's lifetime.
-    const classification_result& classify(const truth_table& f)
-    {
-        return cache_.lookup_or_build(f, [this](const truth_table& g) {
-            return classify_affine(g, params_);
-        });
-    }
+    /// Each miss runs its search inside a `spectral.classify` trace span
+    /// (arg: iterations spent).
+    const classification_result& classify(const truth_table& f);
 
     uint64_t hits() const { return cache_.hits(); }
     uint64_t misses() const { return cache_.misses(); }

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <numeric>
 #include <random>
@@ -379,18 +380,21 @@ TEST(classify_affine, constant_and_trivial_inputs)
 }
 
 /// The word-parallel engine replicates the scalar baseline's search tree
-/// exactly, so agreement is total: same success flag, same iteration count,
-/// same representative, same closed-form transform.
+/// exactly, so agreement is total: same success flag, same iteration count
+/// (where the limit aborts the search too), same representative, same
+/// closed-form transform.
 void expect_engines_agree(const truth_table& f, uint64_t iteration_limit)
 {
     const auto fast =
         classify_affine(f, {.iteration_limit = iteration_limit});
     const auto slow = oracle::classify_affine_baseline(
         f, {.iteration_limit = iteration_limit});
-    ASSERT_EQ(fast.success, slow.success) << "f = " << f.to_hex();
+    ASSERT_EQ(fast.success, slow.success)
+        << "f = " << f.to_hex() << ", limit " << iteration_limit;
+    ASSERT_EQ(fast.iterations, slow.iterations)
+        << "f = " << f.to_hex() << ", limit " << iteration_limit;
     if (!fast.success)
         return;
-    ASSERT_EQ(fast.iterations, slow.iterations) << "f = " << f.to_hex();
     ASSERT_EQ(fast.representative, slow.representative)
         << "f = " << f.to_hex();
     EXPECT_EQ(fast.transform.c, slow.transform.c);
@@ -410,9 +414,9 @@ TEST(classify_affine_vs_baseline, exhaustive_up_to_4_inputs)
 TEST(classify_affine_vs_baseline, randomized_5_and_6_inputs)
 {
     std::mt19937_64 rng{26};
-    for (int rep = 0; rep < 40; ++rep)
+    for (int rep = 0; rep < 400; ++rep)
         expect_engines_agree(random_tt(5, rng), 2'000'000);
-    for (int rep = 0; rep < 15; ++rep)
+    for (int rep = 0; rep < 60; ++rep)
         expect_engines_agree(random_tt(6, rng), 2'000'000);
 }
 
@@ -431,6 +435,93 @@ TEST(classify_affine_vs_baseline, truncation_agrees_under_tight_limits)
             EXPECT_EQ(fast.iterations, slow.iterations)
                 << "f = " << f.to_hex();
         }
+    }
+}
+
+TEST(classify_affine_vs_baseline, tie_heavy_functions)
+{
+    // Tie-heavy spectra: nearly every node of their search is a tight
+    // challenger, and most of the work sits on last-level nodes that the
+    // engine accounts from its leaf memo instead of evaluating.  These are
+    // the searches that exhaust the default limit in practice: single
+    // minterms, bent functions, and tables logged from mc+xor runs on
+    // des:3, des:4, multiplier:16, sqrt:12 and log2:12.
+    std::vector<truth_table> fs;
+    for (const uint32_t n : {5u, 6u})
+        for (uint32_t i = 0; i < (1u << n); ++i) {
+            const truth_table minterm{n, uint64_t{1} << i};
+            fs.push_back(minterm);
+            fs.push_back(~minterm);
+        }
+    std::vector<truth_table> bent; // the 896 with a flat spectrum, all ±4
+    for (uint64_t bits = 0; bits < 65536; ++bits) {
+        const auto s = walsh_spectrum(truth_table{4, bits});
+        if (std::all_of(s.begin(), s.end(),
+                        [](int32_t x) { return x == 4 || x == -4; }))
+            bent.push_back(truth_table{4, bits});
+    }
+    ASSERT_EQ(bent.size(), 896u);
+    for (size_t i = 0; i < bent.size(); i += 16)
+        fs.push_back(bent[i]);
+    for (const char* hex : {"ccc43333", "fdff0000", "0000f7ff"})
+        fs.push_back(truth_table::from_hex(5, hex));
+    for (const char* hex : {"000000fd000000ff", "0e0101010e0e010e",
+                            "3300221130032112", "f700ff0000f700ff"})
+        fs.push_back(truth_table::from_hex(6, hex));
+
+    // Logged tables whose search completes a little above the default
+    // limit, with the exact number of evaluations it takes.
+    struct completing {
+        uint32_t num_vars;
+        const char* hex;
+        uint64_t iterations;
+    };
+    const completing near_misses[] = {
+        {4, "6ac0", 133'936},     {4, "8788", 133'936},
+        {5, "0e0e010e", 111'243}, {5, "00020001", 133'715},
+        {5, "0000007f", 137'667}, {5, "00000103", 139'923},
+        {5, "87778887", 372'560}, {5, "935f6ca0", 372'560},
+    };
+    for (const auto& c : near_misses)
+        fs.push_back(truth_table::from_hex(c.num_vars, c.hex));
+
+    // Found by fuzzing: a search in which a last-level block recurs after
+    // the incumbent changed and is decided differently against the new
+    // one, so the memo must be emptied whenever an incumbent completes.
+    fs.push_back(truth_table::from_hex(6, "7c9e941892f2e124"));
+
+    for (const auto& f : fs)
+        expect_engines_agree(f, 100'000);
+
+    // Every limit around the default aborts at a different point — also
+    // inside the evaluations a memo hit charges at once.
+    const std::vector<truth_table> sweep{
+        truth_table{5, 0x00010000}, ~truth_table{5, 0x00010000},
+        truth_table{6, 1},          bent.front(),
+        truth_table::from_hex(5, "87778887"),
+        truth_table::from_hex(5, "935f6ca0"),
+        truth_table::from_hex(5, "00020001")};
+    for (uint64_t limit = 99'990; limit <= 100'010; ++limit)
+        for (const auto& f : sweep)
+            expect_engines_agree(f, limit);
+
+    // At the exact cost the search completes; one evaluation less aborts.
+    for (const auto& c : near_misses) {
+        const auto f = truth_table::from_hex(c.num_vars, c.hex);
+        expect_engines_agree(f, c.iterations);
+        expect_engines_agree(f, c.iterations - 1);
+        const auto done = classify_affine(f, {.iteration_limit = c.iterations});
+        EXPECT_TRUE(done.success) << c.hex;
+        EXPECT_EQ(done.iterations, c.iterations) << c.hex;
+        EXPECT_FALSE(classify_affine(f, {.iteration_limit = c.iterations - 1})
+                         .success)
+            << c.hex;
+    }
+    // Bent functions complete at the cost of the logged 4-input tables.
+    for (size_t i = 0; i < bent.size(); i += 64) {
+        expect_engines_agree(bent[i], 133'936);
+        EXPECT_TRUE(
+            classify_affine(bent[i], {.iteration_limit = 133'936}).success);
     }
 }
 
