@@ -60,17 +60,30 @@ diff -u build/bench_keys_committed.txt build/bench_keys_fresh.txt || {
 ./build/tools/mcx --flow mc+xor gen:adder:16 \
     -o build/adder16_opt.bench --report FLOW_smoke_gen.json
 ./build/tools/mcx --flow cleanup gen:adder:16 -o build/adder16.bench
+# The summary line counts emitted gates at both ends: cleanup only drops
+# log2's dangling gates, so its AND count must not change.
+grep -qE ': ([0-9]+) -> \1 AND,' \
+    <(./build/tools/mcx --flow cleanup gen:log2:12) || {
+    echo "ci.sh: mcx --flow cleanup changed the AND count of gen:log2:12" >&2
+    exit 1
+}
 ./build/tools/mcx --flow mc+xor build/adder16.bench \
     -o build/adder16_bench_opt.bench --report FLOW_smoke_bench.json
 
-# Warm incremental SAT verification of an iterated flow: the report must
-# carry the per-check solver records (every report has per-round keys, so
-# only the verification block itself shows the proof ran), and the sweep's
-# conflicts plus the checks' must add up to the solver's total.
+# SAT verification of an iterated flow: the report must carry the
+# per-output solver records (every report has per-round keys, so only the
+# verification block itself shows the proof ran), the sweep's conflicts
+# plus the checks' must add up to the solver's total, and the trace must
+# show the proof's two phases and their solves.
 ./build/tools/mcx --flow mc+xor --iterate --verify sat gen:adder:16 \
-    -o build/adder16_satwarm.bench --report FLOW_smoke_sat.json
-python3 - FLOW_smoke_sat.json <<'PY' || {
+    -o build/adder16_satwarm.bench --report FLOW_smoke_sat.json \
+    --trace build/adder16_sat_trace.json
+python3 - FLOW_smoke_sat.json build/adder16_sat_trace.json <<'PY' || {
 import json, sys
+with open(sys.argv[2]) as f:
+    names = {e["name"] for e in json.load(f)["traceEvents"]}
+for required in ["sat.sweep", "sat.outputs", "sat.solve"]:
+    assert required in names, f"trace lacks a {required!r} span"
 with open(sys.argv[1]) as f:
     verification = json.load(f).get("verification", {})
 checks = verification.get("checks", [])
@@ -86,7 +99,8 @@ total = sweep["sat_conflicts"] + sum(c["sat_conflicts"] for c in checks)
 assert total == verification["solver_conflicts"], \
     f"sweep + checks = {total} != {verification['solver_conflicts']}"
 PY
-    echo "ci.sh: --verify sat report lacks consistent solver records" >&2
+    echo "ci.sh: --verify sat report or trace lacks consistent solver" \
+         "records" >&2
     exit 1
 }
 

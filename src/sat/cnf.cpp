@@ -7,29 +7,18 @@ namespace mcx::sat {
 
 namespace {
 
-/// Tseitin clauses of y = a AND b (`is_and`) or y = a XOR b.  A set
-/// `guard` appends `~guard` to every clause.
-void emit_gate(solver& s, bool is_and, literal y, literal a, literal b,
-               std::optional<literal> guard)
+/// Tseitin clauses of y = a AND b (`is_and`) or y = a XOR b.
+void emit_gate(solver& s, bool is_and, literal y, literal a, literal b)
 {
-    const auto emit = [&](std::initializer_list<literal> lits) {
-        literal clause[4];
-        size_t n = 0;
-        for (const auto l : lits)
-            clause[n++] = l;
-        if (guard)
-            clause[n++] = ~*guard;
-        s.add_clause(std::span<const literal>{clause, n});
-    };
     if (is_and) {
-        emit({~y, a});
-        emit({~y, b});
-        emit({y, ~a, ~b});
+        s.add_clause({~y, a});
+        s.add_clause({~y, b});
+        s.add_clause({y, ~a, ~b});
     } else {
-        emit({~y, a, b});
-        emit({~y, ~a, ~b});
-        emit({y, ~a, b});
-        emit({y, a, ~b});
+        s.add_clause({~y, a, b});
+        s.add_clause({~y, ~a, ~b});
+        s.add_clause({y, ~a, b});
+        s.add_clause({y, a, ~b});
     }
 }
 
@@ -84,7 +73,7 @@ cnf_encoding encode(solver& s, const xag& network,
         const literal y{s.add_variable(), false};
         emit_gate(s, network.is_and(n), y,
                   literal_of(enc, network.fanin0(n)),
-                  literal_of(enc, network.fanin1(n)), std::nullopt);
+                  literal_of(enc, network.fanin1(n)));
         enc.node_literals[n] = y;
     }
 
@@ -120,7 +109,7 @@ std::optional<literal> gate_table::find(bool is_and, literal a,
     return parity ? ~it->second : it->second;
 }
 
-cnf_encoding encode_merged(solver& s, const xag& network, literal activation,
+cnf_encoding encode_merged(solver& s, const xag& network,
                            const cnf_encoding& base, const gate_table& table,
                            const gate_settler& settle)
 {
@@ -146,7 +135,7 @@ cnf_encoding encode_merged(solver& s, const xag& network, literal activation,
             continue;
         }
         const literal y{s.add_variable(), false};
-        emit_gate(s, is_and, y, a, b, activation);
+        emit_gate(s, is_and, y, a, b);
         enc.node_literals[n] = settle(n, y);
     }
 

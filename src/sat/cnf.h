@@ -53,15 +53,13 @@ private:
 /// src/sat/equivalence.cpp).
 using gate_settler = std::function<literal(uint32_t node, literal y)>;
 
-/// Encode `network` as a retirable session merged into the encoding `base`
-/// (same solver), whose PI literals and constant it shares.  Gates are
-/// visited in topological order: a gate whose normalized fanin-literal key
-/// names a gate of `table` takes that literal and emits no clauses
-/// (structural hashing); every other gate is encoded with `~activation`
-/// in each clause — the clauses bind only solves that assume
-/// `activation`, and a later top-level unit `~activation` retires the
-/// whole session — and is then handed to `settle`.
-cnf_encoding encode_merged(solver& s, const xag& network, literal activation,
+/// Encode `network` merged into the encoding `base` (same solver), whose
+/// PI literals and constant it shares.  Gates are visited in topological
+/// order: a gate whose normalized fanin-literal key names a gate of
+/// `table` takes that literal and emits no clauses (structural hashing);
+/// every other gate is encoded with a fresh variable and then handed to
+/// `settle`.
+cnf_encoding encode_merged(solver& s, const xag& network,
                            const cnf_encoding& base, const gate_table& table,
                            const gate_settler& settle);
 

@@ -337,22 +337,6 @@ void solver::analyze(std::vector<literal>& learnt,
     backtrack_level = level_[learnt[1].var()];
 }
 
-std::vector<std::vector<literal>>
-solver::export_learnt(size_t max_len) const
-{
-    std::vector<std::vector<literal>> out;
-    if (max_len >= 2)
-        for (const auto& [a, b] : binary_learnts_)
-            out.push_back({a, b});
-    for (const auto c : learnts_) {
-        const auto size = arena_.size(c);
-        if (size > max_len)
-            continue;
-        out.emplace_back(arena_.lits(c), arena_.lits(c) + size);
-    }
-    return out;
-}
-
 void solver::backtrack(uint32_t target)
 {
     if (decision_level() <= target)
@@ -464,7 +448,6 @@ void solver::record_learnt(std::span<const literal> learnt,
                                   uint32_t lbd)
 {
     if (learnt.size() == 2) {
-        binary_learnts_.emplace_back(learnt[0], learnt[1]);
         attach_binary(learnt[0], learnt[1]);
         enqueue(learnt[0], binary_flag | learnt[1].code());
         return;

@@ -75,10 +75,6 @@ public:
     /// snapshot taken at SAT time; valid until the next solve call.
     bool model_value(uint32_t var) const { return model_[var] == 1; }
 
-    /// Live learnt clauses of at most `max_len` literals — migration feed
-    /// for a rebuilt solver (variable GC in src/sat/equivalence.cpp).
-    std::vector<std::vector<literal>> export_learnt(size_t max_len) const;
-
     const solver_stats& stats() const { return stats_; }
 
 private:
@@ -141,7 +137,6 @@ private:
     clause_arena arena_;
     std::vector<clause_ref> clauses_; ///< long problem clauses
     std::vector<clause_ref> learnts_; ///< long learnt clauses
-    std::vector<std::pair<literal, literal>> binary_learnts_; ///< export feed
     std::vector<std::vector<watch>> watches_; ///< indexed by literal code
 
     std::vector<int8_t> assign_;

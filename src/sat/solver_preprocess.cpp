@@ -352,7 +352,6 @@ void solver::rebuild_from(std::vector<std::vector<literal>>&& clauses,
     arena_.clear();
     clauses_.clear();
     learnts_.clear();
-    binary_learnts_.clear();
     for (auto& ws : watches_)
         ws.clear();
     std::fill(assign_.begin(), assign_.end(), int8_t{-1});

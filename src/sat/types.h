@@ -51,8 +51,8 @@ struct solver_stats {
 /// self-subsumption + bounded variable elimination with model
 /// reconstruction).  It is only sound for the build-once/solve pattern —
 /// exact-synthesis encodings and the cold test-oracle CEC miter — and
-/// must stay off for warm incremental sessions that keep adding clauses
-/// and solving under assumptions (`incremental_cec`).
+/// must stay off for solvers that keep adding clauses and solving under
+/// assumptions (`incremental_cec`).
 struct sat_params {
     bool preprocess = false;
 };

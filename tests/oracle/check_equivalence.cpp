@@ -18,7 +18,7 @@ equivalence_report check_equivalence(const xag& a, const xag& b,
             "check_equivalence: interface mismatch"};
 
     // A cold miter is built once and solved once: exactly the pattern the
-    // solver's bounded preprocessor is sound for.  A warm session
+    // solver's bounded preprocessor is sound for.  The incremental prover
     // (incremental_cec) must NOT enable it — it keeps adding clauses and
     // solving under assumptions.
     solver s{sat_params{.preprocess = true}};

@@ -1,7 +1,7 @@
 // Test-only cold combinational equivalence check: a fresh solver, the
 // pairwise-XOR miter of two whole networks, one solve.
 //
-// The reference the warm `sat::incremental_cec` (src/sat/equivalence.h)
+// The reference the incremental `sat::incremental_cec` (src/sat/equivalence.h)
 // is cross-checked against in tests/sat_test.cpp and timed against in
 // bench_micro_core.  It takes no cancellation token, so it stays out of
 // the production library, where every proof obeys the flow's deadline.

@@ -243,19 +243,6 @@ void legacy_solver::analyze_final(literal p)
     seen_[p.var()] = 0;
 }
 
-std::vector<std::vector<literal>> legacy_solver::export_learnt(size_t max_len) const
-{
-    std::vector<std::vector<literal>> out;
-    for (const auto idx : learnt_indices_) {
-        const auto& c = clauses_[idx];
-        // reduce_learnts() clears dead clauses in place; skip them.
-        if (c.lits.empty() || c.lits.size() > max_len)
-            continue;
-        out.emplace_back(c.lits.begin(), c.lits.end());
-    }
-    return out;
-}
-
 void legacy_solver::backtrack(uint32_t target)
 {
     if (decision_level() <= target)

@@ -78,10 +78,6 @@ public:
         return failed_assumptions_;
     }
 
-    /// Live learnt clauses of at most `max_len` literals — migration feed
-    /// for a rebuilt solver (variable GC in src/sat/equivalence.cpp).
-    std::vector<std::vector<literal>> export_learnt(size_t max_len) const;
-
     const solver_stats& stats() const { return stats_; }
 
     /// Instrumentation: invoked with every learnt clause (testing/debugging).

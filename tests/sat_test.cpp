@@ -376,7 +376,7 @@ TEST_P(assumption_differential, agrees_with_fresh_units)
 INSTANTIATE_TEST_SUITE_P(seeds, assumption_differential,
                          ::testing::Range<uint64_t>(100, 124));
 
-// ------------------------------------------------- warm incremental CEC
+// ------------------------------------------------------ incremental CEC
 
 namespace {
 
@@ -418,8 +418,7 @@ xag small_adder_variant(int bits)
 
 /// Same function again, with every XOR spelled as ANDs and every carry as
 /// the naive majority: its gates do not strash onto `small_adder`'s
-/// encoding until the sweep merges their fanins, so each check adds many
-/// fresh variables.
+/// encoding until the sweep merges their fanins.
 /// Bit i of `twist` selects the second of two AND/OR forms of that bit's
 /// sum XORs, so different twists give structurally different candidates.
 xag small_adder_and_only(int bits, uint32_t twist = 0)
@@ -538,7 +537,7 @@ TEST(incremental_cec_check, refutes_a_deep_minterm_the_patterns_miss)
 TEST(incremental_cec_check, random_mutation_differential)
 {
     // Random XAGs against restructured, sometimes mutated copies: the
-    // strashed, swept, warm verdict must match the cold miter's, and a
+    // strashed and swept verdict must match the cold miter's, and a
     // refutation must replay as a real difference.  Most mutations touch
     // a gate only where a 12-literal cube holds — 2^-12 of the inputs, so
     // the fixed patterns usually miss it and the sweep has to tell the
@@ -644,24 +643,65 @@ TEST(incremental_cec_check, random_mutation_differential)
 
 TEST(incremental_cec_check, differential_against_cold_oracle)
 {
-    const auto golden = small_adder(6);
-    const auto equivalent = small_adder_variant(6);
+    // Every check of a sequence on one verifier must agree with the cold
+    // oracle: an equivalent variant, the same again, the golden network
+    // itself, then (on a smaller adder) 16 structurally distinct AND-only
+    // spellings, none of which strashes onto the golden encoding.
+    const auto check_all = [](const xag& golden,
+                              const std::vector<xag>& candidates) {
+        incremental_cec cec{golden};
+        for (size_t i = 0; i < candidates.size(); ++i) {
+            const auto warm = cec.check(candidates[i]);
+            const auto cold = oracle::check_equivalence(candidates[i], golden);
+            EXPECT_EQ(warm.result, cold.result) << "check " << i;
+            EXPECT_EQ(warm.result, equivalence_result::equivalent)
+                << "check " << i;
+        }
+        // One record per output per check.
+        EXPECT_EQ(cec.records().size(),
+                  candidates.size() * golden.num_pos());
+    };
+    check_all(small_adder(6),
+              {small_adder_variant(6), small_adder_variant(6), small_adder(6)});
+    std::vector<xag> twists;
+    for (uint32_t i = 0; i < 16; ++i)
+        twists.push_back(small_adder_and_only(4, i));
+    check_all(small_adder(4), twists);
+}
 
+TEST(incremental_cec_check, repeated_check_is_one_shot)
+{
+    // Each check decides its pair on its own solver: checking a candidate
+    // again, with a different candidate in between, repeats the first
+    // check exactly — verdict, sweep, conflicts and per-output records.
+    const auto golden = small_adder(6);
+    const auto candidate = small_adder_and_only(6);
     incremental_cec cec{golden};
-    // A sequence of checks — equivalent, equivalent again (session
-    // reuse), then a near-miss — must agree with the cold oracle on
-    // every single one.
-    const xag* candidates[] = {&equivalent, &equivalent, &golden};
-    for (const auto* c : candidates) {
-        const auto warm = cec.check(*c);
-        const auto cold = oracle::check_equivalence(*c, golden);
-        EXPECT_EQ(warm.result, cold.result);
-        EXPECT_EQ(warm.result, equivalence_result::equivalent);
+    const auto first = cec.check(candidate);
+    const std::vector<verification_record> first_records = cec.records();
+    ASSERT_EQ(cec.check(small_adder_variant(6)).result,
+              equivalence_result::equivalent);
+    const auto mark = cec.records().size();
+    const auto again = cec.check(candidate);
+
+    EXPECT_EQ(first.result, equivalence_result::equivalent);
+    EXPECT_GT(first.stats.conflicts, 0u);
+    EXPECT_EQ(again.result, first.result);
+    EXPECT_EQ(again.stats.conflicts, first.stats.conflicts);
+    EXPECT_EQ(again.sweep.strash_hits, first.sweep.strash_hits);
+    EXPECT_EQ(again.sweep.pairs_tried, first.sweep.pairs_tried);
+    EXPECT_EQ(again.sweep.merged, first.sweep.merged);
+    EXPECT_EQ(again.sweep.refuted, first.sweep.refuted);
+    EXPECT_EQ(again.sweep.conflicts, first.sweep.conflicts);
+    ASSERT_EQ(cec.records().size() - mark, first_records.size());
+    for (size_t i = 0; i < first_records.size(); ++i) {
+        const auto& a = cec.records()[mark + i];
+        EXPECT_EQ(a.index, first_records[i].index) << "record " << i;
+        EXPECT_EQ(a.sat_conflicts, first_records[i].sat_conflicts)
+            << "record " << i;
+        EXPECT_EQ(a.warm_start, first_records[i].warm_start)
+            << "record " << i;
     }
-    EXPECT_GE(cec.session_reuses(), 1u);
-    // One record per output per check.
-    EXPECT_EQ(cec.records().size(),
-              3u * static_cast<size_t>(golden.num_pos()));
 }
 
 TEST(incremental_cec_check, refutes_after_warm_equivalent_checks)
@@ -748,21 +788,6 @@ TEST(incremental_cec_check, stopped_token_is_undecided_without_counterexample)
     const auto report = cec.check(broken);
     EXPECT_EQ(report.result, equivalence_result::not_equivalent);
     EXPECT_TRUE(report.counterexample.has_value());
-}
-
-TEST(incremental_cec_check, gc_rebuild_preserves_answers)
-{
-    const auto golden = small_adder(4);
-    incremental_cec cec{golden};
-    for (uint32_t i = 0; i < 16; ++i) {
-        // Distinct candidates, none strashing onto golden: each retired
-        // check leaves its encoding behind until the GC rebuilds.
-        auto candidate = small_adder_and_only(4, i);
-        EXPECT_EQ(cec.check(candidate).result,
-                  equivalence_result::equivalent)
-            << "check " << i;
-    }
-    EXPECT_GE(cec.rebuilds(), 1u);
 }
 
 // ------------------------------------ solver-vs-legacy-oracle differential

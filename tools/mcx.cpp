@@ -306,7 +306,7 @@ void write_report(const std::string& path, const std::string& input,
                  verified ? "true" : "false", verify_method.c_str(),
                  verify_label);
     if (proof != nullptr) {
-        // The warm incremental CEC (--verify sat): how the candidate was
+        // The incremental CEC (--verify sat): how the candidate was
         // merged into the golden encoding, then the per-output solves.
         // The sweep's conflicts plus the checks' add up to
         // solver_conflicts.  Schema in docs/artifacts.md.
@@ -449,7 +449,7 @@ void usage(FILE* out)
         "output and verification:\n"
         "  -o, --output <file>     write result (.bench/.v/.txt by extension)\n"
         "  --bristol               Bristol-fashion input (and output)\n"
-        "  --verify <m>            sim (default) | sat (warm incremental\n"
+        "  --verify <m>            sim (default) | sat (incremental\n"
         "                          CEC, one solver across outputs) |\n"
         "                          none; the summary line says proved,\n"
         "                          sampled (sim above 16 inputs) or\n"
@@ -777,9 +777,9 @@ int main(int argc, char** argv)
                 method = "random-simulation";
             }
             if (verified && opt.verify == "sat") {
-                // Warm path: the golden CNF is encoded once and every
-                // output is decided under assumptions on the same solver.
-                // The check obeys only stops that arrive while it runs, so
+                // One solver for the check: the golden CNF, the optimized
+                // network merged into it, and every output decided under
+                // assumptions (src/sat/equivalence.h).  The check obeys only stops that arrive while it runs, so
                 // a flow that its deadline or a signal already stopped
                 // still gets its best-effort network verified: after the
                 // deadline only a signal stops the check, after a signal
@@ -841,10 +841,12 @@ int main(int argc, char** argv)
                 write_bench_file(optimized, opt.output);
             std::printf("wrote %s\n", opt.output.c_str());
         }
+        // Both ends count emitted gates: `golden` is the cleaned input,
+        // while `result.before` also counts the input's dangling gates.
         std::printf("flow '%s': %u -> %u AND, %u -> %u XOR, mult. depth %u "
                     "(%.2fs, %u iteration%s; %s)\n",
-                    result.flow_name.c_str(), result.before.num_ands,
-                    optimized.num_ands(), result.before.num_xors,
+                    result.flow_name.c_str(), golden.num_ands(),
+                    optimized.num_ands(), golden.num_xors(),
                     optimized.num_xors(), and_depth(optimized),
                     result.seconds, result.iterations,
                     result.iterations == 1 ? "" : "s",
