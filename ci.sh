@@ -125,9 +125,10 @@ cmp build/adder16_opt.bench build/adder16_sat.bench || {
 # default run (one worker) must be bit-identical to explicit --threads 1
 # and --threads 4 runs — on adder16, on aes128, whose XOR pass has a
 # binding pairing budget, on des4, the first deep circuit of the set, on
-# multiplier16, whose 494 admitted XOR rows are seeded on the team, and
-# for the XOR pass alone on md5, whose wide accumulator rows lie beyond
-# the pairing budget.
+# multiplier16, whose 494 admitted XOR rows are seeded on the team, on
+# md5, whose converging rewrite rounds re-score only the gates whose cut
+# cones saw a commit, and for the XOR pass alone on md5, whose wide
+# accumulator rows lie beyond the pairing budget.
 ./build/tools/mcx --flow mc+xor --threads 4 gen:adder:16 \
     -o build/adder16_par4.bench --report FLOW_smoke_par.json
 ./build/tools/mcx --flow mc+xor --threads 1 gen:adder:16 \
@@ -148,6 +149,12 @@ cmp build/adder16_opt.bench build/adder16_sat.bench || {
     -o build/mult16_par1.bench
 ./build/tools/mcx --flow mc+xor --threads 4 gen:multiplier:16 \
     -o build/mult16_par4.bench
+./build/tools/mcx --flow mc+xor gen:md5 -o build/md5_opt.bench \
+    --report build/md5_report.json
+./build/tools/mcx --flow mc+xor --threads 1 gen:md5 \
+    -o build/md5_par1.bench
+./build/tools/mcx --flow mc+xor --threads 4 gen:md5 \
+    -o build/md5_par4.bench
 ./build/tools/mcx --flow xor gen:md5 -o build/md5_xor.bench
 ./build/tools/mcx --flow xor --threads 1 gen:md5 -o build/md5_xor_par1.bench
 ./build/tools/mcx --flow xor --threads 4 gen:md5 -o build/md5_xor_par4.bench
@@ -155,12 +162,28 @@ for pair in adder16_opt:adder16_par1 adder16_opt:adder16_par4 \
             aes128_opt:aes128_par1 aes128_opt:aes128_par4 \
             des4_opt:des4_par1 des4_opt:des4_par4 \
             mult16_opt:mult16_par1 mult16_opt:mult16_par4 \
+            md5_opt:md5_par1 md5_opt:md5_par4 \
             md5_xor:md5_xor_par1 md5_xor:md5_xor_par4; do
     cmp "build/${pair%%:*}.bench" "build/${pair##*:}.bench" || {
         echo "ci.sh: ${pair##*:} output differs from the default run" >&2
         exit 1
     }
 done
+# The evaluate dirty set (docs/hot-path.md, "What counts as dirty") holds
+# only gates with a change in one of their cut cones: after md5's first
+# two rounds each rewrite round re-scores a few hundred of its 38.8k gates
+# (37k+ when the set was the whole transitive fanout of every change).
+python3 - build/md5_report.json <<'PY' || {
+import json, sys
+rounds = json.load(open(sys.argv[1]))["passes"][0]["rounds"]
+late = [r["nodes_evaluated"] for r in rounds[2:]]
+print("md5 rewrite rounds, nodes_evaluated:",
+      [r["nodes_evaluated"] for r in rounds])
+sys.exit(0 if late and max(late) < 1000 else 1)
+PY
+    echo "ci.sh: md5 rewrite rounds after the second evaluate >= 1000 nodes" >&2
+    exit 1
+}
 grep -q '"threads": 4' FLOW_smoke_par.json || {
     echo "ci.sh: FLOW_smoke_par.json lacks the per-pass thread count" >&2
     exit 1

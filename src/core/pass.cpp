@@ -382,9 +382,10 @@ std::optional<scored_candidate> build_scored_candidate(
 
 /// Incremental-evaluate wiring for one round, derived by generic_round
 /// from the maintainer/cache coherence handshake.  `cache_valid` says the
-/// surviving entries of `cache` may be consulted this round (`dirty` is
-/// then the maintainer's fanout closure over everything that changed
-/// since they were written).
+/// surviving entries of `cache` may be consulted this round (`dirty` then
+/// marks the seeds of what changed since they were written and every gate
+/// with a seed in one of its cut cones, leaves included —
+/// cut_maintainer's evaluate dirty set).
 struct round_env {
     evaluate_cache& cache;
     bool cache_valid = false;

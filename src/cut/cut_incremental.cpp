@@ -209,37 +209,53 @@ void cut_maintainer::sweep(const xag& net, cut_sets& sets,
             }
         });
 
-    // ---- evaluate dirty set (header contract): seeds from the consumed
-    // journal plus every node whose cut span was refreshed, closed over
-    // transitive fanout in level order.  Computed here because the sweep
-    // already owns the level ordering and the set_changed_ map; the
-    // rewrite engines read it through evaluate_dirty().
+    // ---- evaluate dirty set (header contract): a gate is dirty iff a
+    // seed lies in the gate itself or in one of its cut cones, leaves
+    // included.  Computed here because the sweep already owns the level
+    // ordering and the set_changed_ map; the rewrite engines read it
+    // through evaluate_dirty().
     eval_dirty_.assign(num_nodes, full ? uint8_t{1} : uint8_t{0});
     if (!full) {
+        cone_mark_.assign(num_nodes, no_seed_below);
+        const auto seed = [&](uint32_t id) { cone_mark_[id] = seed_here; };
         for (const auto id : net.changes().nodes) {
             if (!net.is_dead(id)) {
-                eval_dirty_[id] = 1;
+                seed(id);
                 if (net.is_gate(id)) {
-                    eval_dirty_[net.fanin0(id).node()] = 1;
-                    eval_dirty_[net.fanin1(id).node()] = 1;
+                    seed(net.fanin0(id).node());
+                    seed(net.fanin1(id).node());
                 }
             } else if (id < armed_size_ && net.is_gate(id)) {
                 // A pre-existing gate died: its fanins lost references
                 // (fanin fields survive take_out, so they are readable).
-                eval_dirty_[net.fanin0(id).node()] = 1;
-                eval_dirty_[net.fanin1(id).node()] = 1;
+                seed(net.fanin0(id).node());
+                seed(net.fanin1(id).node());
             }
             // else: created and destroyed inside the window (a rejected
             // candidate cone) — net-zero on every neighbour, no seed.
         }
-        for (uint32_t n = 0; n < num_nodes; ++n)
+        for (uint32_t n = 0; n < num_nodes; ++n) {
             if (set_changed_[n])
+                seed(n);
+            if (cone_mark_[n] == seed_here)
                 eval_dirty_[n] = 1;
-        // items_ is level-ordered, so both fanins are final when n runs.
-        for (const auto n : items_)
-            if (!eval_dirty_[n] && (eval_dirty_[net.fanin0(n).node()] ||
-                                    eval_dirty_[net.fanin1(n).node()]))
+        }
+
+        // items_ is level-ordered, so both fanin marks are final when n
+        // runs.  Only a gate with a seed in its transitive fanin can see
+        // one in a cut cone, and a cone walk never enters a node without
+        // one below it, so the walks stay inside the seeds' fanout.
+        walk_stamp_.assign(num_nodes, 0);
+        walk_epoch_ = 0;
+        for (const auto n : items_) {
+            if (cone_mark_[n] != no_seed_below ||
+                (cone_mark_[net.fanin0(n).node()] == no_seed_below &&
+                 cone_mark_[net.fanin1(n).node()] == no_seed_below))
+                continue;
+            cone_mark_[n] = seed_below;
+            if (cut_cone_sees_seed(net, sets[n], n))
                 eval_dirty_[n] = 1;
+        }
     }
 
     // ---- pass 3: dead and unreachable nodes present empty sets, exactly
@@ -268,6 +284,34 @@ void cut_maintainer::sweep(const xag& net, cut_sets& sets,
         // cut each and are excluded, as in the classic enumeration.
         stats->total_cuts = sets.total_cuts() - net.num_pis();
     }
+}
+
+bool cut_maintainer::cut_cone_sees_seed(const xag& net,
+                                        std::span<const cut> node_cuts,
+                                        uint32_t n)
+{
+    for (const auto& c : node_cuts) {
+        if (c.num_leaves < 2 && c.leaves[0] == n)
+            continue; // trivial cut: n itself, which is no seed
+        const auto leaves = c.leaf_span();
+        ++walk_epoch_;
+        walk_stack_.assign({net.fanin0(n).node(), net.fanin1(n).node()});
+        while (!walk_stack_.empty()) {
+            const auto x = walk_stack_.back();
+            walk_stack_.pop_back();
+            if (walk_stamp_[x] == walk_epoch_)
+                continue;
+            walk_stamp_[x] = walk_epoch_;
+            if (cone_mark_[x] == seed_here)
+                return true;
+            if (cone_mark_[x] == no_seed_below || !net.is_gate(x) ||
+                std::find(leaves.begin(), leaves.end(), x) != leaves.end())
+                continue;
+            walk_stack_.push_back(net.fanin0(x).node());
+            walk_stack_.push_back(net.fanin1(x).node());
+        }
+    }
+    return false;
 }
 
 } // namespace mcx

@@ -74,21 +74,33 @@ public:
     // ---- evaluate dirty set (consumed by the rewrite engines) ----------
     //
     // A cached evaluation of node n stays valid iff (1) n's cut set is
-    // byte-identical to the previous refresh and (2) nothing in n's cone
-    // changed structure or reference count.  Ref counts change only at
-    // journaled nodes and at fanins of journaled nodes, and any such node
-    // in n's cone puts n in its transitive fanout — so the refresh derives
+    // byte-identical to the previous refresh and (2) nothing the
+    // evaluation read changed: the structure and reference counts of the
+    // gates between n and each cut's leaves, and the structural-hashing
+    // entries over them (the splice probe looks gates up over leaves and
+    // cone gates).  The refresh seeds every place such a change leaves a
+    // trace: cut-refreshed nodes, every live journaled node and its
+    // current fanins, and the stored fanins of journaled pre-existing
+    // gates that died (their refs dropped).  Then
     //
-    //   dirty(n) = seed(n) | dirty(fanin0) | dirty(fanin1)
+    //   dirty(n) = a seed lies in n itself or in one of n's cut cones,
+    //              leaves included
     //
-    // in one linear pass over the level-ordered live gates, with seeds =
-    // cut-refreshed nodes plus the journal closure: every live journaled
-    // node and its current fanins, plus the stored fanins of journaled
-    // nodes that died (their refs dropped).  Journaled nodes that were
-    // BOTH created and destroyed inside the window — candidate cones
-    // spliced and rejected by a commit phase — are net-zero on every
-    // neighbour and seed nothing; skipping them is what lets a quiescent
-    // round converge to an empty dirty set.
+    // which is exact.  A reference-count or hashing change at a cone
+    // node seeds that node itself (apart from a reference gained when
+    // xag::substitute re-points a primary output, which the journal does
+    // not record).  If a cone changed structure, follow a
+    // path down from n to the change: the topmost journaled node on it
+    // is a fanin of unchanged live gates (n included), so it is live,
+    // journaled — a seed — and still in n's current cone.  Seeds
+    // below every cut's leaves are invisible to n's evaluation and leave
+    // it clean, however deep the network.  Journaled nodes that were BOTH
+    // created and destroyed inside the window — candidate cones spliced
+    // and rejected by a commit phase — are net-zero on every neighbour
+    // and seed nothing; skipping them is what lets a quiescent round
+    // converge to an empty dirty set.  Gates the splice probe reached
+    // outside the cone are checked by the engine against this set too
+    // (eval_winner::outside): it contains every seed.
 
     /// Per-node evaluate-dirty bitmap from the most recent refresh.
     /// Meaningful only when `last_refresh_incremental()`; a full rebuild
@@ -111,6 +123,10 @@ private:
                const cut_enumeration_params& params,
                cut_enumeration_stats* stats, thread_pool* pool, bool full,
                const cancellation_token& token);
+    /// True when a seed lies in one of `node_cuts`' cones below n,
+    /// leaves included (walks n's fanins down to each cut's leaves).
+    bool cut_cone_sees_seed(const xag& net, std::span<const cut> node_cuts,
+                            uint32_t n);
 
     // Identity of the tracked (network, arena) pair — compared, never
     // dereferenced, so staleness is harmless (the armed-journal check
@@ -135,6 +151,15 @@ private:
     std::vector<uint32_t> level_cursor_;  ///< counting-sort scratch
     std::vector<uint32_t> recompute_;     ///< current level's work list
     std::vector<uint8_t> eval_dirty_;     ///< evaluate dirty set (see above)
+    /// cone_mark_ values: no seed in the node's transitive fanin, the node
+    /// is a seed, or a seed lies strictly below it.
+    static constexpr uint8_t no_seed_below = 0;
+    static constexpr uint8_t seed_here = 1;
+    static constexpr uint8_t seed_below = 2;
+    std::vector<uint8_t> cone_mark_;      ///< seed map for the cone walks
+    std::vector<uint32_t> walk_stamp_;    ///< cone walk visited stamps
+    std::vector<uint32_t> walk_stack_;    ///< cone walk work list
+    uint32_t walk_epoch_ = 0;             ///< one per walked cut
     std::vector<std::vector<cut>> results_; ///< per-item staging buffers
     std::vector<cut_enumeration_workspace> workspaces_; ///< per worker
 };

@@ -22,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <random>
 #include <sstream>
 #include <vector>
@@ -227,6 +228,79 @@ TEST(cut_maintainer, single_substitution_stays_local)
         << stats.reenumerated_nodes << " nodes";
     EXPECT_GT(stats.clean_nodes, 250u);
     expect_identical_cut_sets(sets, enumerate_cuts(net), "local change");
+}
+
+/// n = (a ^ b) & (b & c) under the chain top = (((n & d) ^ e) & f) ^ h.
+/// With 3-input cuts n's cones reach its leaves a, b, c two levels down,
+/// while no cut cone of m1..top reaches below n's fanins.
+struct cone_fixture {
+    xag net;
+    std::array<signal, 7> in{}; // a b c d e f h
+    uint32_t p = 0, q = 0, n = 0;
+    std::array<uint32_t, 4> chain{}; // m1 m2 m3 top
+    static constexpr cut_enumeration_params params{.cut_size = 3};
+
+    cone_fixture()
+    {
+        for (auto& s : in)
+            s = net.create_pi();
+        const auto [a, b, c, d, e, f, h] = in;
+        const auto ps = net.create_xor(a, b);
+        const auto qs = net.create_and(b, c);
+        const auto ns = net.create_and(ps, qs);
+        const auto m1 = net.create_and(ns, d);
+        const auto m2 = net.create_xor(m1, e);
+        const auto m3 = net.create_and(m2, f);
+        const auto top = net.create_xor(m3, h);
+        net.create_po(top);
+        p = ps.node();
+        q = qs.node();
+        n = ns.node();
+        chain = {m1.node(), m2.node(), m3.node(), top.node()};
+    }
+
+    /// n and its fanins are dirty, the chain above it is not — though
+    /// every chain gate lies in the transitive fanout of a and b.
+    void expect_only_the_cone_is_dirty(std::span<const uint8_t> dirty,
+                                       const char* what) const
+    {
+        EXPECT_TRUE(dirty[n]) << what;
+        EXPECT_TRUE(dirty[p]) << what;
+        EXPECT_TRUE(dirty[q]) << what;
+        for (const auto m : chain)
+            EXPECT_FALSE(dirty[m]) << what << ": chain gate " << m;
+    }
+};
+
+TEST(cut_maintainer, evaluate_dirty_sees_a_gate_created_over_cut_leaves)
+{
+    // A new gate over a and b is a structural-hashing entry n's splice
+    // probe can hit through its cut {a, b, c}; the only seeds in n's
+    // cones are those two leaves.
+    cone_fixture fx;
+    cut_maintainer maint;
+    cut_sets sets;
+    maint.refresh(fx.net, sets, fx.params);
+    fx.net.create_po(fx.net.create_and(fx.in[0], fx.in[1]));
+    ASSERT_TRUE(maint.refresh(fx.net, sets, fx.params));
+    fx.expect_only_the_cone_is_dirty(maint.evaluate_dirty(), "created");
+}
+
+TEST(cut_maintainer, evaluate_dirty_sees_a_dead_gate_over_cut_leaves)
+{
+    // A pre-existing gate over a and b dies (its output is re-pointed to
+    // c): it leaves no live journaled node behind, only its stored fanins
+    // a and b — which lost a reference and a hashing entry — as seeds.
+    cone_fixture fx;
+    const auto g = fx.net.create_and(fx.in[0], fx.in[1]);
+    fx.net.create_po(g);
+    cut_maintainer maint;
+    cut_sets sets;
+    maint.refresh(fx.net, sets, fx.params);
+    fx.net.substitute(g.node(), fx.in[2]);
+    ASSERT_TRUE(fx.net.is_dead(g.node()));
+    ASSERT_TRUE(maint.refresh(fx.net, sets, fx.params));
+    fx.expect_only_the_cone_is_dirty(maint.evaluate_dirty(), "killed");
 }
 
 TEST(cut_maintainer, broken_journal_forces_full_rebuild)
