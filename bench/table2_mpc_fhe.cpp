@@ -2,9 +2,10 @@
 //
 // The paper's initial points are the best-known circuits from the MPC
 // community (already engineered for low AND count in the AES case, generic
-// elsewhere); ours are generator-built equivalents (DESIGN.md substitution
-// X4).  Expected shape: AES ~0 % (it starts near-MC-optimal), DES moderate,
-// hashes large (>= 50 %), adders reach the known optimum of n AND gates.
+// elsewhere); those files are not in the repository, so generator-built
+// circuits of the same functions stand in for them.  Expected shape: AES
+// ~0 % (it starts near-MC-optimal), DES moderate, hashes large (>= 50 %),
+// adders reach the known optimum of n AND gates.
 #include "common.h"
 
 #include "gen/aes.h"

@@ -18,12 +18,6 @@ std::shared_ptr<const pass> make_pass(std::string_view token,
         rewrite.num_threads = params.num_threads;
         return std::make_shared<mc_rewrite_pass>(rewrite, params.max_rounds);
     }
-    if (token == "size" || token == "size-baseline") {
-        auto size_rewrite = params.size_rewrite;
-        size_rewrite.num_threads = params.num_threads;
-        return std::make_shared<size_rewrite_pass>(size_rewrite,
-                                                   params.max_rounds);
-    }
     if (token == "xor")
         return std::make_shared<xor_resynthesis_pass>(params.num_threads);
     if (token == "cleanup")
@@ -114,7 +108,6 @@ flow_result run_flow(xag& network, const flow& f, pass_context& ctx)
 pass_context_params context_params(const flow_params& params)
 {
     return {.mc_db = params.rewrite.db,
-            .size_db = params.size_rewrite.db,
             .classification_iteration_limit =
                 params.rewrite.classification_iteration_limit};
 }
@@ -127,7 +120,6 @@ flow make_flow(std::string_view spec, const flow_params& params)
     size_t begin = 0;
     while (begin <= spec.size()) {
         size_t end = begin;
-        // '+' and ',' both separate; "size-baseline" keeps its '-'.
         while (end < spec.size() && spec[end] != '+' && spec[end] != ',')
             ++end;
         const auto token = spec.substr(begin, end - begin);
@@ -144,7 +136,7 @@ flow make_flow(std::string_view spec, const flow_params& params)
 
 std::vector<std::string> flow_pass_names()
 {
-    return {"mc", "size-baseline", "xor", "cleanup"};
+    return {"mc", "xor", "cleanup"};
 }
 
 } // namespace mcx

@@ -3,12 +3,11 @@
 //
 // A flow is built either programmatically (push passes) or from a spec
 // string of '+'/',' separated pass names — the vocabulary behind the mcx
-// CLI's `--flow mc`, `--flow mc+xor`, `--flow size-baseline`:
+// CLI's `--flow mc`, `--flow mc+xor`, `--flow cleanup+mc`:
 //
-//   mc             the paper's AND-minimizing rewrite (to convergence)
-//   xor            Paar resynthesis of the linear blocks
-//   size-baseline  the generic gate-count baseline (alias: size)
-//   cleanup        compact + re-strash
+//   mc       the paper's AND-minimizing rewrite (to convergence)
+//   xor      Paar resynthesis of the linear blocks
+//   cleanup  compact + re-strash
 //
 // `iterate_until_convergence` repeats the whole pass list while the AND
 // count keeps improving — the multi-pass schedules of related work (e.g.
@@ -28,7 +27,6 @@ namespace mcx {
 /// consume them; unrelated passes ignore them).
 struct flow_params {
     rewrite_params rewrite;
-    size_rewrite_params size_rewrite;
     uint32_t max_rounds = 100; ///< per rewrite pass invocation
     /// Repeat the whole pass list until the AND count stops improving
     /// (bounded by max_flow_iterations).
@@ -36,9 +34,8 @@ struct flow_params {
     uint32_t max_flow_iterations = 10;
     /// Flow-level worker count (`mcx --threads`): every pass make_flow
     /// builds runs on this many workers.  The per-pass
-    /// `rewrite.num_threads` and `size_rewrite.num_threads` are not read
-    /// under a flow.  Results are bit-identical for any value — see
-    /// docs/parallel.md.
+    /// `rewrite.num_threads` is not read under a flow.  Results are
+    /// bit-identical for any value — see docs/parallel.md.
     uint32_t num_threads = 1;
     /// Flow-level cooperative stop (`mcx --deadline`, SIGINT/SIGTERM).
     /// When it stops, the running pass finishes at its next commit

@@ -26,15 +26,6 @@ mc_database& pass_context::mc_db()
     return *mc_db_;
 }
 
-size_database& pass_context::size_db()
-{
-    if (external_size_db_)
-        return *external_size_db_;
-    if (!size_db_)
-        size_db_ = std::make_unique<size_database>(params_.size_db);
-    return *size_db_;
-}
-
 thread_pool& pass_context::pool(uint32_t num_threads)
 {
     if (num_threads == 0)
@@ -79,20 +70,28 @@ signal splice_affine(Dst& dst, const affine_transform& t,
     return out ^ t.output_complement;
 }
 
-/// Splice for the NPN baseline: permutation, input and output complements
-/// are all free on XAG edges.
-template <typename Dst>
-signal splice_npn(Dst& dst, const npn_transform& t,
-                  std::span<const signal> leaves, const xag& repr_circuit)
-{
-    std::array<signal, 6> repr_inputs{};
-    for (uint32_t i = 0; i < t.num_vars; ++i)
-        repr_inputs[i] =
-            leaves[t.perm[i]] ^ (((t.input_negation >> i) & 1) != 0);
-    const auto out = insert_network(
-        dst, repr_circuit, std::span{repr_inputs.data(), t.num_vars})[0];
-    return out ^ t.output_negation;
-}
+/// The database half of a candidate: classify the cut function through
+/// the context's memo, look its class up in (or synthesize it into) the MC
+/// database, and splice the representative into the network (commit) or a
+/// splice_probe (evaluate).  Thread-safe for a probe: touches only the
+/// striped memo and database.
+struct candidate_source {
+    classification_cache& memo;
+    mc_database& db;
+    cancellation_token token;
+
+    /// nullopt when the classification search fails.
+    template <typename Dst>
+    std::optional<signal> build(Dst& dst, const truth_table& f,
+                                std::span<const signal> leaves) const
+    {
+        const auto& cls = memo.classify(f);
+        if (!cls.success)
+            return std::nullopt;
+        const auto& entry = db.lookup_or_build(cls.representative, token);
+        return splice_affine(dst, cls.transform, leaves, entry.circuit);
+    }
+};
 
 /// A candidate measured without being built.  The splice replays against
 /// the frozen network through xag::find_gate, so a gate that folds or
@@ -145,7 +144,6 @@ public:
             std::count_if(gates_.begin(), gates_.end(),
                           [](const auto& g) { return g.is_and; }));
     }
-    uint64_t new_gates() const { return gates_.size(); }
     std::span<const uint32_t> pins() const { return pins_; }
 
     /// Existing gates outside the root's cone over the cut that the splice
@@ -349,38 +347,38 @@ struct scored_candidate {
 };
 
 /// Commit-side kernel: build the candidate for a support-shrunk function —
-/// trivially, or through the strategy's database splice — measure the
-/// actual created cost, verify function and containment against the
-/// current network, and score the DAG-aware gain (MFFC savings over the
+/// trivially, or through the database splice — count the AND gates it
+/// really created, verify function and containment against the current
+/// network, and score the DAG-aware gain (AND gates of the MFFC over the
 /// full cut, computed while the candidate's references pin any shared
-/// nodes, minus the created cost).
+/// nodes, minus the created ANDs).
 /// Returns nullopt with every temporary reference released when the build
 /// fails or verification rejects.
-template <typename Strategy>
 std::optional<scored_candidate> build_scored_candidate(
-    xag& net, cone_simulator& sim, Strategy& strat, const truth_table& f,
-    std::span<const signal> leaf_sigs, std::span<const uint32_t> support_nodes,
+    xag& net, cone_simulator& sim, const candidate_source& source,
+    const truth_table& f, std::span<const signal> leaf_sigs,
+    std::span<const uint32_t> support_nodes,
     std::span<const uint32_t> mffc_leaves, uint32_t n)
 {
-    const auto cost_before = strat.created_cost();
+    const auto ands_before = net.num_ands();
     std::optional<signal> candidate = trivial_replacement(net, f, leaf_sigs);
     if (!candidate) {
-        candidate = strat.make_candidate(net, f, leaf_sigs);
+        candidate = source.build(net, f, leaf_sigs);
         if (!candidate)
             return std::nullopt;
     }
-    const auto created = strat.created_cost() - cost_before;
+    const auto created = net.num_ands() - ands_before;
     net.take_ref(*candidate);
     if (!verify_candidate(net, sim, *candidate, support_nodes, f, n)) {
         net.release_ref(net.resolve(*candidate));
         return std::nullopt;
     }
-    const int64_t saved = strat.mffc_cost(n, mffc_leaves);
+    const int64_t saved = mffc_and_count(net, n, mffc_leaves);
     return scored_candidate{*candidate,
                             saved - static_cast<int64_t>(created)};
 }
 
-/// Incremental-evaluate wiring for one round, derived by generic_round
+/// Incremental-evaluate wiring for one round, derived by mc_rewrite_round
 /// from the maintainer/cache coherence handshake.  `cache_valid` says the
 /// surviving entries of `cache` may be consulted this round (`dirty` then
 /// marks the seeds of what changed since they were written and every gate
@@ -423,10 +421,9 @@ struct round_env {
 // thread count; one worker is the reference run.  (eval_winner lives in
 // pass.h: it doubles as the evaluate cache's payload.)
 
-template <typename Strategy>
-void evaluate_node(const xag& net, const cut_sets& cuts, Strategy& strat,
-                   pass_scratch& sc, bool allow_zero_gain, uint32_t n,
-                   eval_winner& winner)
+void evaluate_node(const xag& net, const cut_sets& cuts,
+                   const candidate_source& source, pass_scratch& sc,
+                   bool allow_zero_gain, uint32_t n, eval_winner& winner)
 {
     // ---- phases 1-2 against the frozen network.
     const auto num_resolved = resolve_and_simulate(
@@ -437,8 +434,8 @@ void evaluate_node(const xag& net, const cut_sets& cuts, Strategy& strat,
     const std::span<const cone_simulator::leaf_set> active{
         sc.resolved.data(), num_resolved};
 
-    // ---- score: the exact gain against the frozen network — the MFFC
-    // savings with the candidate's references pinned, minus the gates the
+    // ---- score: the exact gain against the frozen network — the MFFC's
+    // AND gates with the candidate's references pinned, minus the ANDs the
     // splice really adds (probed, so structural-hashing shares count; the
     // sequential commit re-measures against the network as it then is).
     // The unpinned MFFC bounds the gain from above, so a cut that cannot
@@ -449,7 +446,7 @@ void evaluate_node(const xag& net, const cut_sets& cuts, Strategy& strat,
         if (!sc.valid[i])
             continue;
         const auto& cut_leaves = active[i];
-        const int64_t saved_bound = strat.mffc_cost(n, cut_leaves);
+        const int64_t saved_bound = mffc_and_count(net, n, cut_leaves);
         if (saved_bound <= best_gain)
             continue;
         const auto k = static_cast<uint32_t>(cut_leaves.size());
@@ -463,7 +460,7 @@ void evaluate_node(const xag& net, const cut_sets& cuts, Strategy& strat,
         splice_probe probe{net, n, cut_leaves, sc};
         auto out = trivial_replacement(probe, view.function, leaves);
         if (!out) {
-            out = strat.make_candidate(probe, view.function, leaves);
+            out = source.build(probe, view.function, leaves);
             if (!out) {
                 ++sc.classify_failures;
                 continue;
@@ -481,12 +478,11 @@ void evaluate_node(const xag& net, const cut_sets& cuts, Strategy& strat,
         }
         if (!probe.finish(*out))
             continue;
-        const int64_t saved = probe.pins().empty()
-                                  ? saved_bound
-                                  : strat.mffc_cost(n, cut_leaves,
-                                                    probe.pins());
-        const int64_t gain =
-            saved - static_cast<int64_t>(strat.probe_cost(probe));
+        const int64_t saved =
+            probe.pins().empty()
+                ? saved_bound
+                : mffc_and_count(net, n, cut_leaves, probe.pins());
+        const int64_t gain = saved - static_cast<int64_t>(probe.new_ands());
         if (gain <= best_gain)
             continue;
         best_gain = gain;
@@ -502,10 +498,9 @@ void evaluate_node(const xag& net, const cut_sets& cuts, Strategy& strat,
     }
 }
 
-template <typename Strategy>
 void run_two_phase_round(xag& net, pass_context& ctx, round_stats& stats,
                          bool allow_zero_gain, uint32_t num_threads,
-                         Strategy& strat, const round_env& env)
+                         const candidate_source& source, const round_env& env)
 {
     // Gate nodes in topological order: the evaluate phase's index space
     // and the commit phase's application order.
@@ -563,7 +558,7 @@ void run_two_phase_round(xag& net, pass_context& ctx, round_stats& stats,
             if (token.stop_possible() && token.stop_requested())
                 return; // leave the winner invalid; the round is discarded
             const auto idx = fresh[i];
-            evaluate_node(net, cuts, strat, ctx.scratch(worker),
+            evaluate_node(net, cuts, source, ctx.scratch(worker),
                           allow_zero_gain, nodes[idx], winners[idx]);
         });
     }
@@ -592,8 +587,8 @@ void run_two_phase_round(xag& net, pass_context& ctx, round_stats& stats,
     }
 
     // Store the freshly scored winners back by node id; the cache now
-    // reflects the refresh this round started from (generic_round stamps
-    // the serial after the engine returns).
+    // reflects the refresh this round started from (mc_rewrite_round
+    // stamps the serial after the engine returns).
     if (cache.winners.size() < net.size()) {
         cache.winners.resize(net.size());
         cache.has_entry.resize(net.size(), 0);
@@ -644,7 +639,7 @@ void run_two_phase_round(xag& net, pass_context& ctx, round_stats& stats,
         const eval_winner* wp = &scored_winner;
         if (!leaves_intact(scored_winner)) {
             rescored = {};
-            evaluate_node(net, ctx.cuts(), strat, ctx.scratch(0),
+            evaluate_node(net, ctx.cuts(), source, ctx.scratch(0),
                           allow_zero_gain, n, rescored);
             if (!rescored.valid)
                 continue;
@@ -661,12 +656,13 @@ void run_two_phase_round(xag& net, pass_context& ctx, round_stats& stats,
             leaf_sigs.push_back(signal{l, false});
         }
 
-        // Exact gain against the *current* network: actual created cost
-        // (structural hashing may have shared most of the candidate) and
-        // the MFFC as it stands after the commits above.  Classification
-        // is a warm hit in the memo the evaluate phase filled.
+        // Exact gain against the *current* network: the ANDs actually
+        // created (structural hashing may have shared most of the
+        // candidate) and the MFFC as it stands after the commits above.
+        // Classification is a warm hit in the memo the evaluate phase
+        // filled.
         const auto scored =
-            build_scored_candidate(net, sim, strat, w.function, leaf_sigs,
+            build_scored_candidate(net, sim, source, w.function, leaf_sigs,
                                    support_nodes, full_leaves, n);
         if (!scored)
             continue;
@@ -683,23 +679,39 @@ void run_two_phase_round(xag& net, pass_context& ctx, round_stats& stats,
     collect_counters(ctx.scratch(0)); // the commit phase's re-scoring
 }
 
-/// Round boilerplate shared by both rewrite flavors: network shape, memo-
-/// and database-traffic deltas, stage timing, cut refresh into the
-/// context's arena (incremental across rounds — only the previous round's
-/// dirty region is re-enumerated, level-parallel on the worker pool), then
-/// the two-phase round above.
-template <typename Strategy>
-round_stats generic_round(xag& network, pass_context& ctx, uint32_t cut_size,
-                          uint32_t cut_limit, bool allow_zero_gain,
-                          uint32_t num_threads, Strategy strat)
+pass_stats finish_pass(pass_context& ctx, pass_stats ps, const xag& network,
+                       std::chrono::steady_clock::time_point start)
+{
+    ps.after = stats_of(network);
+    ps.seconds = std::chrono::duration<double>(
+                     std::chrono::steady_clock::now() - start)
+                     .count();
+    ctx.history.push_back(ps);
+    return ps;
+}
+
+} // namespace
+
+// ---------------------------------------------------------- round engine
+
+/// One round: network shape, memo- and database-traffic deltas, stage
+/// timing, cut refresh into the context's arena (incremental across rounds
+/// — only the previous round's dirty region is re-enumerated,
+/// level-parallel on the worker pool), then the two-phase round above.
+round_stats mc_rewrite_round(xag& network, pass_context& ctx,
+                             const rewrite_params& params)
 {
     const auto start = std::chrono::steady_clock::now();
     obs::trace::trace_span round_span{"round"};
+    const candidate_source source{ctx.classification(), ctx.mc_db(),
+                                  ctx.token};
     round_stats stats;
     stats.ands_before = network.num_ands();
     stats.xors_before = network.num_xors();
-    const auto [canon_hits0, canon_misses0] = strat.canon_traffic();
-    const auto [db_hits0, db_misses0] = strat.db_traffic();
+    const auto canon_hits0 = source.memo.hits();
+    const auto canon_misses0 = source.memo.misses();
+    const auto db_hits0 = source.db.hits();
+    const auto db_misses0 = source.db.misses();
 
     // Exceptions from the layers below — cancelled_error unwinding out of
     // a cut sweep or a database build, an injected or organic fault from a
@@ -715,8 +727,8 @@ round_stats generic_round(xag& network, pass_context& ctx, uint32_t cut_size,
             const obs::trace::trace_span refresh_span{"phase.cut-refresh"};
             maint.refresh(
                 network, ctx.cuts(),
-                {.cut_size = cut_size, .cut_limit = cut_limit},
-                &stats.cut_stats, &ctx.pool(num_threads), ctx.token);
+                {.cut_size = params.cut_size, .cut_limit = params.cut_limit},
+                &stats.cut_stats, &ctx.pool(params.num_threads), ctx.token);
         }
         cuts_done = std::chrono::steady_clock::now();
         stats.cut_seconds =
@@ -734,10 +746,9 @@ round_stats generic_round(xag& network, pass_context& ctx, uint32_t cut_size,
         auto& cache = ctx.eval_cache();
         round_env env{.cache = cache};
         env.cache_valid = cache.net == &network &&
-                          cache.cut_size == cut_size &&
-                          cache.cut_limit == cut_limit &&
-                          cache.allow_zero_gain == allow_zero_gain &&
-                          cache.strategy == Strategy::kind &&
+                          cache.cut_size == params.cut_size &&
+                          cache.cut_limit == params.cut_limit &&
+                          cache.allow_zero_gain == params.allow_zero_gain &&
                           maint.last_refresh_incremental() &&
                           cache.serial + 1 == maint.refresh_serial();
         if (env.cache_valid) {
@@ -745,14 +756,13 @@ round_stats generic_round(xag& network, pass_context& ctx, uint32_t cut_size,
         } else {
             cache.reset();
             cache.net = &network;
-            cache.cut_size = cut_size;
-            cache.cut_limit = cut_limit;
-            cache.allow_zero_gain = allow_zero_gain;
-            cache.strategy = Strategy::kind;
+            cache.cut_size = params.cut_size;
+            cache.cut_limit = params.cut_limit;
+            cache.allow_zero_gain = params.allow_zero_gain;
         }
 
-        run_two_phase_round(network, ctx, stats, allow_zero_gain,
-                            num_threads, strat, env);
+        run_two_phase_round(network, ctx, stats, params.allow_zero_gain,
+                            params.num_threads, source, env);
 
         cache.serial = maint.refresh_serial();
     } catch (const cancelled_error& e) {
@@ -771,12 +781,10 @@ round_stats generic_round(xag& network, pass_context& ctx, uint32_t cut_size,
     stats.rewrite_seconds =
         std::chrono::duration<double>(end - cuts_done).count();
     stats.seconds = std::chrono::duration<double>(end - start).count();
-    const auto [canon_hits1, canon_misses1] = strat.canon_traffic();
-    stats.canon_cache_hits = canon_hits1 - canon_hits0;
-    stats.canon_cache_misses = canon_misses1 - canon_misses0;
-    const auto [db_hits1, db_misses1] = strat.db_traffic();
-    stats.db_hits = db_hits1 - db_hits0;
-    stats.db_misses = db_misses1 - db_misses0;
+    stats.canon_cache_hits = source.memo.hits() - canon_hits0;
+    stats.canon_cache_misses = source.memo.misses() - canon_misses0;
+    stats.db_hits = source.db.hits() - db_hits0;
+    stats.db_misses = source.db.misses() - db_misses0;
 
     static const auto rounds_metric = obs::register_metric("rewrite.rounds");
     static const auto replacements_metric =
@@ -801,149 +809,6 @@ round_stats generic_round(xag& network, pass_context& ctx, uint32_t cut_size,
     return stats;
 }
 
-/// Proposed method: affine classification + AND-minimal database, AND-count
-/// cost model.
-struct mc_strategy {
-    static constexpr uint8_t kind = 0; ///< evaluate_cache::strategy tag
-    xag& net;
-    classification_cache& memo;
-    mc_database& db;
-    cancellation_token token;
-
-    /// Candidate builder into the network (commit) or a splice_probe
-    /// (evaluate).  nullopt when the classification search fails.
-    /// Thread-safe for a probe: touches only the striped memo and
-    /// database.
-    template <typename Dst>
-    std::optional<signal> make_candidate(Dst& dst, const truth_table& f,
-                                         std::span<const signal> leaves)
-    {
-        const auto& cls = memo.classify(f);
-        if (!cls.success)
-            return std::nullopt;
-        const auto& entry = db.lookup_or_build(cls.representative, token);
-        return splice_affine(dst, cls.transform, leaves, entry.circuit);
-    }
-    uint64_t probe_cost(const splice_probe& probe) const
-    {
-        return probe.new_ands();
-    }
-    int64_t mffc_cost(uint32_t root, std::span<const uint32_t> leaves,
-                      std::span<const uint32_t> pinned = {}) const
-    {
-        return mffc_and_count(net, root, leaves, pinned);
-    }
-    uint64_t created_cost() const { return net.num_ands(); }
-    std::pair<uint64_t, uint64_t> canon_traffic() const
-    {
-        return {memo.hits(), memo.misses()};
-    }
-    std::pair<uint64_t, uint64_t> db_traffic() const
-    {
-        return {db.hits(), db.misses()};
-    }
-};
-
-/// Size baseline: NPN canonization + gate-minimal database, unit cost for
-/// AND and XOR.
-struct size_strategy {
-    static constexpr uint8_t kind = 1; ///< evaluate_cache::strategy tag
-    xag& net;
-    npn_cache& memo;
-    size_database& db;
-    cancellation_token token;
-
-    /// Candidate builder; see mc_strategy::make_candidate.
-    template <typename Dst>
-    std::optional<signal> make_candidate(Dst& dst, const truth_table& f,
-                                         std::span<const signal> leaves)
-    {
-        const auto& canon = memo.canonize(f);
-        const auto& entry = db.lookup_or_build(canon.representative, token);
-        return splice_npn(dst, canon.transform, leaves, entry.circuit);
-    }
-    uint64_t probe_cost(const splice_probe& probe) const
-    {
-        return probe.new_gates();
-    }
-    int64_t mffc_cost(uint32_t root, std::span<const uint32_t> leaves,
-                      std::span<const uint32_t> pinned = {}) const
-    {
-        return mffc_gate_count(net, root, leaves, pinned);
-    }
-    uint64_t created_cost() const { return net.num_gates(); }
-    std::pair<uint64_t, uint64_t> canon_traffic() const
-    {
-        return {memo.hits(), memo.misses()};
-    }
-    std::pair<uint64_t, uint64_t> db_traffic() const
-    {
-        return {db.hits(), db.misses()};
-    }
-};
-
-/// The ONE convergence driver: repeat `round` until the cost (AND count or
-/// gate count) stops improving, or `max_rounds`; the rounds, convergence
-/// and stop status land in `ps`.
-template <typename Round>
-void run_until_convergence(pass_stats& ps, xag& network, Round&& round,
-                           uint32_t max_rounds, bool count_ands)
-{
-    for (uint32_t i = 0; i < max_rounds; ++i) {
-        obs::set_progress_round(i + 1);
-        const auto stats = round(network);
-        ps.rounds.push_back(stats);
-        if (stats.status != outcome::ok) {
-            // The round was cut short — its counters do not mean "no more
-            // gains", so this is a stop, not convergence.
-            ps.status = stats.status;
-            break;
-        }
-        const auto before = count_ands
-                                ? stats.ands_before
-                                : stats.ands_before + stats.xors_before;
-        const auto after = count_ands ? stats.ands_after
-                                      : stats.ands_after + stats.xors_after;
-        if (after >= before) {
-            ps.converged = true;
-            break;
-        }
-    }
-}
-
-pass_stats finish_pass(pass_context& ctx, pass_stats ps, const xag& network,
-                       std::chrono::steady_clock::time_point start)
-{
-    ps.after = stats_of(network);
-    ps.seconds = std::chrono::duration<double>(
-                     std::chrono::steady_clock::now() - start)
-                     .count();
-    ctx.history.push_back(ps);
-    return ps;
-}
-
-} // namespace
-
-// ---------------------------------------------------------- round engine
-
-round_stats mc_rewrite_round(xag& network, pass_context& ctx,
-                             const rewrite_params& params)
-{
-    return generic_round(network, ctx, params.cut_size, params.cut_limit,
-                         params.allow_zero_gain, params.num_threads,
-                         mc_strategy{network, ctx.classification(),
-                                     ctx.mc_db(), ctx.token});
-}
-
-round_stats size_rewrite_round(xag& network, pass_context& ctx,
-                               const size_rewrite_params& params)
-{
-    return generic_round(network, ctx, params.cut_size, params.cut_limit,
-                         params.allow_zero_gain, params.num_threads,
-                         size_strategy{network, ctx.npn(), ctx.size_db(),
-                                       ctx.token});
-}
-
 // ----------------------------------------------------------------- passes
 
 pass_stats mc_rewrite_pass::run(xag& network, pass_context& ctx) const
@@ -956,35 +821,27 @@ pass_stats mc_rewrite_pass::run(xag& network, pass_context& ctx) const
     auto& db = ctx.mc_db();
     const auto db_hits0 = db.hits();
     const auto db_misses0 = db.misses();
-    run_until_convergence(
-        ps, network,
-        [&](xag& net) { return mc_rewrite_round(net, ctx, params_); },
-        max_rounds_, true);
+    // Repeat rounds until the AND count stops improving, or max_rounds_.
+    for (uint32_t i = 0; i < max_rounds_; ++i) {
+        obs::set_progress_round(i + 1);
+        const auto stats = mc_rewrite_round(network, ctx, params_);
+        ps.rounds.push_back(stats);
+        if (stats.status != outcome::ok) {
+            // The round was cut short — its counters do not mean "no more
+            // gains", so this is a stop, not convergence.
+            ps.status = stats.status;
+            break;
+        }
+        if (stats.ands_after >= stats.ands_before) {
+            ps.converged = true;
+            break;
+        }
+    }
     ps.db_hits = db.hits() - db_hits0;
     ps.db_misses = db.misses() - db_misses0;
     ps.db_entries = db.size();
     ps.db_exact = db.exact_entries();
     ps.db_heuristic = db.heuristic_entries();
-    return finish_pass(ctx, std::move(ps), network, start);
-}
-
-pass_stats size_rewrite_pass::run(xag& network, pass_context& ctx) const
-{
-    const auto start = std::chrono::steady_clock::now();
-    pass_stats ps;
-    ps.pass_name = name();
-    ps.before = stats_of(network);
-    ps.num_threads = std::max(1u, params_.num_threads);
-    auto& db = ctx.size_db();
-    const auto db_hits0 = db.hits();
-    const auto db_misses0 = db.misses();
-    run_until_convergence(
-        ps, network,
-        [&](xag& net) { return size_rewrite_round(net, ctx, params_); },
-        max_rounds_, false);
-    ps.db_hits = db.hits() - db_hits0;
-    ps.db_misses = db.misses() - db_misses0;
-    ps.db_entries = db.size();
     return finish_pass(ctx, std::move(ps), network, start);
 }
 

@@ -1,23 +1,22 @@
-// The pass framework: every optimization step (AND-minimizing rewrite, the
-// generic size baseline, XOR resynthesis, cleanup) is a `pass` executed
-// against a shared `pass_context`.
+// The pass framework: every optimization step (AND-minimizing rewrite, XOR
+// resynthesis, cleanup) is a `pass` executed against a shared
+// `pass_context`.
 //
 // The context owns everything the hot loop reuses across rounds and across
 // passes — the arena-backed cut storage (src/cut/cut_arena.h), the batched
-// cone simulator (src/xag/cone_batch.h), the canonization memos, and the
-// lazily constructed databases — so each resource is allocated once per
+// cone simulator (src/xag/cone_batch.h), the classification memo, and the
+// lazily constructed database — so each resource is allocated once per
 // flow instead of once per round.  `pass_stats` is the unified sink:
 // one record per executed pass, with per-round breakdowns for the rewrite
-// passes.
+// pass.
 //
-// The rewrite passes share ONE round implementation (pass.cpp): an
+// The rewrite pass runs ONE round implementation (pass.cpp): an
 // incremental cut refresh into the arena, batched evaluation of all of a
-// node's cut functions in one live-lane traversal, canonize/classify
-// through the context's shared memo, database splice, MFFC-gated commit.
-// mc vs. size differ only in a small strategy bundle (candidate builder +
-// cost model).  No parameter selects a reference path: a test reaches the
-// full-rebuild oracle with cut_maintenance().invalidate() and the
-// full-evaluate oracle with eval_cache().reset() before a round.
+// node's cut functions in one live-lane traversal, affine classification
+// through the context's shared memo, MC database splice, MFFC-gated commit
+// scored by AND count.  No parameter selects a reference path: a test
+// reaches the full-rebuild oracle with cut_maintenance().invalidate() and
+// the full-evaluate oracle with eval_cache().reset() before a round.
 //
 // Every round runs on the parallel subsystem (src/par/): a work-stealing
 // evaluate phase scores the best candidate per node against the frozen
@@ -31,8 +30,6 @@
 #include "cut/cut_enumeration.h"
 #include "cut/cut_incremental.h"
 #include "db/mc_database.h"
-#include "db/size_database.h"
-#include "npn/npn.h"
 #include "par/scratch.h"
 #include "par/thread_pool.h"
 #include "spectral/classification.h"
@@ -65,14 +62,6 @@ struct rewrite_params {
     mc_database_params db;
 };
 
-struct size_rewrite_params {
-    uint32_t cut_size = 4; ///< NPN-4 database
-    uint32_t cut_limit = 12;
-    bool allow_zero_gain = false;
-    uint32_t num_threads = 1; ///< see rewrite_params
-    size_database_params db;
-};
-
 // ------------------------------------------------------------------ stats
 
 struct round_stats {
@@ -88,12 +77,11 @@ struct round_stats {
 
     // --- per-stage breakdown of the hot loop (filled by every round) ------
     double cut_seconds = 0.0;     ///< time inside enumerate_cuts
-    double rewrite_seconds = 0.0; ///< time in the canonize/classify/splice pass
+    double rewrite_seconds = 0.0; ///< time in the classify/splice pass
     cut_enumeration_stats cut_stats; ///< merge/dedup/domination counters
-    /// Canonization-memo traffic this round: the context's
-    /// classification_cache for the proposed method, its npn_cache for the
-    /// size baseline.  Like the database traffic, a function of the
-    /// workload alone (each function is canonized once at any thread
+    /// Classification-memo traffic this round (the context's
+    /// classification_cache).  Like the database traffic, a function of
+    /// the workload alone (each function is classified once at any thread
     /// count).
     uint64_t canon_cache_hits = 0;
     uint64_t canon_cache_misses = 0;
@@ -120,8 +108,8 @@ struct round_stats {
     }
 };
 
-/// Outcome of one executed pass — the unified stats sink.  Rewrite passes
-/// fill `rounds`; xor_resynthesis fills the xor counters; every pass fills
+/// Outcome of one executed pass — the unified stats sink.  The rewrite pass
+/// fills `rounds`; xor_resynthesis fills the xor counters; every pass fills
 /// the network before/after shape and its wall time.
 struct pass_stats {
     std::string pass_name;
@@ -132,13 +120,12 @@ struct pass_stats {
     /// Workers the pass ran on: the rewrite and XOR passes' team size, 1
     /// for cleanup.
     uint32_t num_threads = 1;
-    std::vector<round_stats> rounds; ///< rewrite passes only
+    std::vector<round_stats> rounds; ///< rewrite pass only
     uint32_t xor_blocks = 0;         ///< xor_resynthesis only
     uint32_t xor_pairs_extracted = 0; ///< xor_resynthesis only
-    /// Database traffic over this pass (rewrite passes only): sharded_store
-    /// hits/misses delta, entry count after the pass, and — for the mc
-    /// database — how many of the entries ever built were certified
-    /// optimal vs heuristic fallbacks.
+    /// Database traffic over this pass (rewrite pass only): sharded_store
+    /// hits/misses delta, entry count after the pass, and how many of the
+    /// entries ever built were certified optimal vs heuristic fallbacks.
     uint64_t db_hits = 0;
     uint64_t db_misses = 0;
     uint64_t db_entries = 0;
@@ -187,7 +174,6 @@ struct evaluate_cache {
     uint32_t cut_size = 0;
     uint32_t cut_limit = 0;
     bool allow_zero_gain = false;
-    uint8_t strategy = 0; ///< 0 = mc, 1 = size
     std::vector<eval_winner> winners; ///< cached winner per node id
     std::vector<uint8_t> has_entry;
 
@@ -201,12 +187,11 @@ struct evaluate_cache {
 
 struct pass_context_params {
     mc_database_params mc_db;
-    size_database_params size_db;
     uint64_t classification_iteration_limit = 100'000; ///< paper §5
 };
 
-/// Shared execution state for a sequence of passes.  Databases are
-/// constructed lazily on first use; external instances (e.g. a database
+/// Shared execution state for a sequence of passes.  The database is
+/// constructed lazily on first use; an external instance (e.g. a database
 /// loaded from disk) can be adopted instead.  All members persist across
 /// rounds, passes, and flows, which is what makes the caches effective and
 /// the arena/simulator allocation-free after warm-up.
@@ -220,12 +205,10 @@ public:
     }
 
     mc_database& mc_db();
-    size_database& size_db();
-    /// The canonization memos: one of each per context, shared by every
-    /// worker like the databases, so no cut function is classified (or
-    /// NPN-canonized) twice at any thread count.  Thread-safe.
+    /// The classification memo: one per context, shared by every worker
+    /// like the database, so no cut function is classified twice at any
+    /// thread count.  Thread-safe.
     classification_cache& classification() { return classification_; }
-    npn_cache& npn() { return npn_; }
     cut_sets& cuts() { return cuts_; }
     /// Incremental maintenance of cuts() across rounds — tracks one
     /// network at a time and falls back to a full rebuild whenever its
@@ -255,7 +238,6 @@ public:
     /// Adopt an external database (nullptr restores the owned instance).
     /// The pointee must outlive the context's use.
     void adopt(mc_database* db) { external_mc_db_ = db; }
-    void adopt(size_database* db) { external_size_db_ = db; }
 
     const pass_context_params& params() const { return params_; }
 
@@ -272,11 +254,8 @@ public:
 private:
     pass_context_params params_;
     std::unique_ptr<mc_database> mc_db_;
-    std::unique_ptr<size_database> size_db_;
     mc_database* external_mc_db_ = nullptr;
-    size_database* external_size_db_ = nullptr;
     classification_cache classification_;
-    npn_cache npn_;
     cut_sets cuts_;
     cut_maintainer cut_maint_;
     cone_simulator simulator_;
@@ -313,23 +292,6 @@ private:
     uint32_t max_rounds_;
 };
 
-/// The generic size baseline (NPN-4 database, unit cost for AND and XOR),
-/// repeated until the gate count stops improving.
-class size_rewrite_pass final : public pass {
-public:
-    explicit size_rewrite_pass(size_rewrite_params params = {},
-                               uint32_t max_rounds = 100)
-        : params_{params}, max_rounds_{max_rounds}
-    {
-    }
-    std::string_view name() const override { return "size-rewrite"; }
-    pass_stats run(xag& network, pass_context& ctx) const override;
-
-private:
-    size_rewrite_params params_;
-    uint32_t max_rounds_;
-};
-
 /// Paar-style resynthesis of maximal linear (XOR-only) blocks.  The
 /// quadratic pair-count seeding runs on the context's worker pool; the
 /// output is the same for every worker count.
@@ -355,13 +317,9 @@ public:
 
 // ---------------------------------------------------- round-level engine
 
-/// One round of the proposed method through a context (the single shared
-/// pass-loop implementation; size_rewrite_round uses the same engine).
+/// One round of the proposed method through a context (the round loop of
+/// mc_rewrite_pass).
 round_stats mc_rewrite_round(xag& network, pass_context& ctx,
                              const rewrite_params& params = {});
-
-/// One round of the generic size baseline through a context.
-round_stats size_rewrite_round(xag& network, pass_context& ctx,
-                               const size_rewrite_params& params = {});
 
 } // namespace mcx

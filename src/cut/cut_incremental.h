@@ -87,9 +87,7 @@ public:
     //              leaves included
     //
     // which is exact.  A reference-count or hashing change at a cone
-    // node seeds that node itself (apart from a reference gained when
-    // xag::substitute re-points a primary output, which the journal does
-    // not record).  If a cone changed structure, follow a
+    // node seeds that node itself.  If a cone changed structure, follow a
     // path down from n to the change: the topmost journaled node on it
     // is a fanin of unchanged live gates (n included), so it is live,
     // journaled — a seed — and still in n's current cone.  Seeds

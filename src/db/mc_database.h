@@ -1,8 +1,9 @@
 // Database of AND-minimal XAGs per affine-class representative (paper §4.1).
 //
 // The paper ships a pre-computed database (NIST's SLP circuits for 147 998
-// of all 150 357 6-input affine classes, 12 MB compressed).  We ship part of
-// it and build the rest lazily (DESIGN.md substitution X1):
+// of all 150 357 6-input affine classes, 12 MB compressed), which is not in
+// the repository.  In its place we ship a table of the small classes and
+// synthesize the rest lazily:
 //
 //  * Shipped: the affine classes with support <= 5 that an enumeration of
 //    the classes reaches at the default classification limit, at every

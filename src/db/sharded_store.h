@@ -1,7 +1,7 @@
 // Thread-safe sharded memo map with once-per-key building — the storage
 // layer of everything the parallel rewrite round looks up concurrently:
-// both databases (mc_database, size_database) and both canonization memos
-// (classification_cache, npn_cache), one of each per pass_context.
+// the MC database (mc_database) and the classification memo
+// (classification_cache), one of each per pass_context.
 //
 // Keys hash to one of 64 shards, each an unordered_map behind its own
 // mutex (striped locking: lookups of different shards never contend).  A

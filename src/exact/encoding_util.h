@@ -1,6 +1,6 @@
-// Small CNF gadget builders shared by the exact-synthesis encoders.  They
-// are generic over the solver type (anything with `add_variable()` and
-// `add_clause({...})`), so an encoder can run on a substitute solver.
+// Small CNF gadget builders of the exact-MC encoder (exact_mc_search.h).
+// They are generic over the solver type (anything with `add_variable()` and
+// `add_clause({...})`), so the encoder can run on a substitute solver.
 #pragma once
 
 #include "sat/types.h"

@@ -1,4 +1,5 @@
-// AES-128 circuit generators (paper Table 2, substitution X4).
+// AES-128 circuit generators (paper Table 2; they stand in for the MPC
+// community's AES circuit, which is not in the repository).
 //
 // The S-box is built as composite-field GF(((2^2)^2)^2) inversion plus the
 // AES affine map: all field towers and the basis-change matrices are

@@ -1,8 +1,9 @@
 // Generator-based equivalents of the EPFL arithmetic benchmarks and the
-// MPC arithmetic benchmarks of Table 2 (DESIGN.md substitutions X3, X4).
-// Every generator returns a self-contained XAG built from textbook
-// structures; widths are parameters so benches can scale between laptop
-// runs and paper-scale runs.
+// MPC arithmetic benchmarks of Table 2: the paper's source netlists are not
+// in the repository, so these stand in for them.  Every generator returns
+// a self-contained XAG built from textbook structures; widths are
+// parameters so benches can scale between laptop runs and paper-scale
+// runs.
 #pragma once
 
 #include "xag/xag.h"

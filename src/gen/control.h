@@ -1,7 +1,7 @@
-// Generator-based equivalents of the EPFL random-control benchmarks
-// (DESIGN.md substitution X3).  Circuits with no published functional spec
-// (cavlc, i2c, mem_ctrl) are substituted by seeded structured random
-// control logic of comparable size.
+// Generator-based equivalents of the EPFL random-control benchmarks, which
+// stand in for the paper's netlists (not in the repository).  Circuits with
+// no published functional spec (cavlc, i2c, mem_ctrl) are substituted by
+// seeded structured random control logic of comparable size.
 #pragma once
 
 #include "xag/xag.h"

@@ -13,9 +13,9 @@
 //
 // The cut arena (pass_context::cuts()) stays shared: it is written once
 // by cut enumeration before the phase starts and only read inside it.  The
-// canonization memos are shared too, one per context like the databases
-// (pass_context::classification() / npn()): each cut function is
-// classified once, whichever worker asks first.
+// classification memo is shared too, one per context like the database
+// (pass_context::classification()): each cut function is classified once,
+// whichever worker asks first.
 #pragma once
 
 #include "xag/cone_batch.h"

@@ -2,14 +2,14 @@
 //
 // Every function here transforms a whole 64-bit truth table with a handful
 // of mask/shift operations instead of a loop over its 2^n bits.  They are
-// the substrate of the hot cut->canonize->classify->rewrite loop: the NPN
-// canonizer walks its candidate space by one flip or swap per step, and cut
-// enumeration re-expresses child cut functions over merged leaf sets purely
-// with insertions of don't-care variables.
+// the substrate of the hot cut->classify->rewrite loop: the affine
+// classifier complements variables by one flip each, and cut enumeration
+// re-expresses child cut functions over merged leaf sets purely with
+// insertions of don't-care variables.
 //
 // Conventions match truth_table: bit x of the word is f(x), variable i
 // contributes bit i of the index x.  Callers keep words masked to
-// tt_mask(n); all operations preserve that invariant (a flip or swap only
+// tt_mask(n); all operations preserve that invariant (a flip only
 // permutes bits within the valid range).
 #pragma once
 
@@ -25,23 +25,6 @@ constexpr uint64_t tt_flip_word(uint64_t w, uint32_t k)
     const uint64_t m = tt_projection_word(k);
     const uint32_t s = 1u << k;
     return ((w & m) >> s) | ((w & ~m) << s);
-}
-
-/// g with variables i and j exchanged (i, j < 6).  Delta-swap of the two
-/// strips where exactly one of the two index bits is set.
-constexpr uint64_t tt_swap_word(uint64_t w, uint32_t i, uint32_t j)
-{
-    if (i == j)
-        return w;
-    if (i > j) {
-        const uint32_t t = i;
-        i = j;
-        j = t;
-    }
-    const uint64_t lo = tt_projection_word(i) & ~tt_projection_word(j);
-    const uint64_t hi = ~tt_projection_word(i) & tt_projection_word(j);
-    const uint32_t s = (1u << j) - (1u << i);
-    return (w & ~(lo | hi)) | ((w & lo) << s) | ((w & hi) >> s);
 }
 
 /// Insert a don't-care variable at position j into an m-variable table

@@ -275,11 +275,14 @@ void xag::substitute(uint32_t old_node, signal replacement)
         else
             --num_xors_;
 
-        // Re-point primary outputs.
+        // Re-point primary outputs.  The replacement gains a reference,
+        // which can shrink the MFFC of every gate above it: journal it.
         for (auto& po : pos_)
             if (po.node() == o) {
                 const auto updated = s ^ po.complemented();
                 incr_ref(updated.node());
+                if (is_gate(updated.node()))
+                    log_change(updated.node());
                 --old_nd.refs;
                 po = updated;
             }

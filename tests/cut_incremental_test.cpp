@@ -303,6 +303,31 @@ TEST(cut_maintainer, evaluate_dirty_sees_a_dead_gate_over_cut_leaves)
     fx.expect_only_the_cone_is_dirty(maint.evaluate_dirty(), "killed");
 }
 
+TEST(cut_maintainer, evaluate_dirty_sees_a_reference_gained_by_an_output)
+{
+    // s = a & b feeds only m = s & c.  Substituting the output gate
+    // o = d & e by s re-points that primary output to s: s gains a
+    // reference (1 -> 2), which takes it out of m's MFFC, so m's cached
+    // score is stale and s itself must be re-scored too.
+    xag net;
+    std::array<signal, 5> in{}; // a b c d e
+    for (auto& x : in)
+        x = net.create_pi();
+    const auto s = net.create_and(in[0], in[1]);
+    const auto m = net.create_and(s, in[2]);
+    const auto o = net.create_and(in[3], in[4]);
+    net.create_po(m);
+    net.create_po(o);
+    cut_maintainer maint;
+    cut_sets sets;
+    maint.refresh(net, sets, {});
+    net.substitute(o.node(), s);
+    ASSERT_TRUE(maint.refresh(net, sets, {}));
+    const auto dirty = maint.evaluate_dirty();
+    EXPECT_TRUE(dirty[m.node()]);
+    EXPECT_TRUE(dirty[s.node()]);
+}
+
 TEST(cut_maintainer, broken_journal_forces_full_rebuild)
 {
     auto net = random_network(29);
@@ -541,10 +566,11 @@ TEST(incremental_differential, lightweight_family)
     expect_incremental_invariant(gen_keccak_f(8), "keccak8");
 }
 
-TEST(incremental_differential, size_baseline_engine)
+TEST(incremental_differential, cut_size4_engine)
 {
-    expect_incremental_invariant(gen_adder(12), "size-adder12", {},
-                                 "size-baseline");
+    flow_params params;
+    params.rewrite.cut_size = 4;
+    expect_incremental_invariant(gen_adder(12), "cut4-adder12", params);
 }
 
 TEST(incremental_differential, incremental_engages_across_foreign_pass)

@@ -1,5 +1,4 @@
 #include "db/mc_database.h"
-#include "db/size_database.h"
 #include "obs/metrics.h"
 #include "spectral/classification.h"
 #include "xag/simulate.h"
@@ -250,17 +249,6 @@ TEST(mc_table, rows_rederive_through_synthesize)
                       row);
         }
     }
-}
-
-TEST(size_database_suite, builds_minimal_entries)
-{
-    size_database db;
-    // The AND/OR NPN class costs a single gate.
-    const truth_table and2{2, 0x8};
-    const auto& e = db.lookup_or_build(and2);
-    EXPECT_EQ(e.num_gates, 1u);
-    EXPECT_TRUE(e.optimal);
-    EXPECT_EQ(simulate(e.circuit)[0], and2);
 }
 
 } // namespace

@@ -1,6 +1,5 @@
 #include "exact/exact_mc.h"
 #include "exact/exact_mc_search.h"
-#include "exact/exact_size.h"
 #include "exact/heuristic_mc.h"
 #include "oracle/legacy_solver.h"
 #include "tt/operations.h"
@@ -178,100 +177,6 @@ TEST(heuristic_mc, six_var_functions_build)
         EXPECT_EQ(simulate(net)[0], f);
         EXPECT_LE(net.num_ands(), heuristic_mc_bound(f));
         EXPECT_GE(net.num_ands(), mc_lower_bound(f));
-    }
-}
-
-TEST(exact_size, trivial_functions)
-{
-    const auto r_const = exact_size_synthesis(truth_table::constant(3, true));
-    ASSERT_TRUE(r_const.success);
-    EXPECT_EQ(r_const.num_gates, 0u);
-
-    const auto x1 = truth_table::projection(3, 1);
-    const auto r_var = exact_size_synthesis(x1);
-    ASSERT_TRUE(r_var.success);
-    EXPECT_EQ(r_var.num_gates, 0u);
-
-    const auto r_not = exact_size_synthesis(~x1);
-    ASSERT_TRUE(r_not.success);
-    EXPECT_EQ(r_not.num_gates, 0u);
-    EXPECT_EQ(simulate(r_not.circuit)[0], ~x1);
-}
-
-TEST(exact_size, known_gate_counts)
-{
-    const auto a = truth_table::projection(3, 0);
-    const auto b = truth_table::projection(3, 1);
-    const auto c = truth_table::projection(3, 2);
-
-    // Parity of three: 2 XOR gates.
-    const auto r_par = exact_size_synthesis(a ^ b ^ c);
-    ASSERT_TRUE(r_par.success);
-    EXPECT_TRUE(r_par.optimal);
-    EXPECT_EQ(r_par.num_gates, 2u);
-    EXPECT_EQ(r_par.circuit.num_ands(), 0u);
-
-    // AND of three: 2 gates.
-    const auto r_and3 = exact_size_synthesis(a & b & c);
-    ASSERT_TRUE(r_and3.success);
-    EXPECT_EQ(r_and3.num_gates, 2u);
-
-    // MUX: 3 gates in the XAG basis ((t^e)&c)^e.
-    const auto mux = (c & a) | (~c & b);
-    const auto r_mux = exact_size_synthesis(mux);
-    ASSERT_TRUE(r_mux.success);
-    EXPECT_EQ(r_mux.num_gates, 3u);
-
-    // OR: a single AND gate with inverters.
-    const auto r_or = exact_size_synthesis(truth_table{2, 0xe});
-    ASSERT_TRUE(r_or.success);
-    EXPECT_EQ(r_or.num_gates, 1u);
-}
-
-TEST(exact_size, random_3var_functions)
-{
-    std::mt19937_64 rng{35};
-    for (int rep = 0; rep < 8; ++rep) {
-        const auto f = random_tt(3, rng);
-        const auto r = exact_size_synthesis(f, {.max_gates = 8,
-                                                .conflict_budget = 200'000});
-        ASSERT_TRUE(r.success);
-        EXPECT_EQ(simulate(r.circuit)[0], f);
-        EXPECT_LE(r.num_gates, 8u);
-    }
-}
-
-TEST(exact_size, structured_4var_functions)
-{
-    // Structured 4-variable functions with small optima keep the search
-    // shallow while still exercising the 4-variable encoding.
-    truth_table and4 = truth_table::constant(4, true);
-    truth_table parity4{4};
-    for (uint32_t i = 0; i < 4; ++i) {
-        and4 &= truth_table::projection(4, i);
-        parity4 ^= truth_table::projection(4, i);
-    }
-    const auto r_and = exact_size_synthesis(and4);
-    ASSERT_TRUE(r_and.success);
-    EXPECT_EQ(r_and.num_gates, 3u);
-    const auto r_par = exact_size_synthesis(parity4);
-    ASSERT_TRUE(r_par.success);
-    EXPECT_EQ(r_par.num_gates, 3u);
-    EXPECT_EQ(r_par.circuit.num_ands(), 0u);
-}
-
-TEST(exact_size, size_at_least_mc)
-{
-    // Total gates >= AND gates >= MC.
-    std::mt19937_64 rng{36};
-    for (int rep = 0; rep < 5; ++rep) {
-        const auto f = random_tt(3, rng);
-        const auto rs = exact_size_synthesis(f);
-        const auto rm = exact_mc_synthesis(f);
-        ASSERT_TRUE(rs.success);
-        ASSERT_TRUE(rm.success);
-        EXPECT_GE(rs.num_gates, rm.num_ands);
-        EXPECT_GE(rs.circuit.num_ands(), rm.num_ands);
     }
 }
 

@@ -120,10 +120,11 @@ TEST(evaluate_differential, lightweight_family)
     expect_evaluate_invariant(gen_keccak_f(8), "keccak8");
 }
 
-TEST(evaluate_differential, size_baseline_engine)
+TEST(evaluate_differential, cut_size4_engine)
 {
-    expect_evaluate_invariant(gen_adder(12), "size-adder12", {},
-                              "size-baseline");
+    flow_params params;
+    params.rewrite.cut_size = 4;
+    expect_evaluate_invariant(gen_adder(12), "cut4-adder12", params);
 }
 
 TEST(evaluate_differential, iterated_flow_across_passes)

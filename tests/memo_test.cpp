@@ -1,8 +1,8 @@
 // The memoization layer of the hot loop: the context's classification
-// memo in front of affine classification, and the circuit databases (the
-// NPN memo is covered in npn_test).  The property under test everywhere:
-// memoized and direct calls return identical results, and each key is
-// computed once however many threads ask for it.
+// memo in front of affine classification, and the MC circuit database.
+// The property under test everywhere: memoized and direct calls return
+// identical results, and each key is computed once however many threads
+// ask for it.
 #include "core/pass.h"
 #include "db/mc_database.h"
 #include "spectral/classification.h"

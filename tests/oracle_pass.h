@@ -1,5 +1,5 @@
-// Test-side oracles for the incremental round engine.  The rewrite passes
-// always maintain cut sets and evaluations incrementally across rounds; an
+// Test-side oracles for the incremental round engine.  The rewrite pass
+// always maintains cut sets and evaluations incrementally across rounds; an
 // oracle flow runs the same rounds but defeats that reuse before each one:
 //
 //   full_rebuild   cut_maintenance().invalidate() — every cut set is
@@ -29,20 +29,16 @@ inline void defeat_reuse(pass_context& ctx, oracle o)
         ctx.eval_cache().reset();
 }
 
-/// The mc or size rewrite pass, one round at a time, reuse defeated before
-/// every round; same convergence rule as the production passes.
+/// The mc rewrite pass, one round at a time, reuse defeated before every
+/// round; same convergence rule as the production pass.
 class oracle_rewrite_pass final : public pass {
 public:
-    oracle_rewrite_pass(bool size, const flow_params& params, oracle o)
-        : size_{size}, params_{params}, oracle_{o}
+    oracle_rewrite_pass(const flow_params& params, oracle o)
+        : params_{params}, oracle_{o}
     {
         params_.rewrite.num_threads = params.num_threads;
-        params_.size_rewrite.num_threads = params.num_threads;
     }
-    std::string_view name() const override
-    {
-        return size_ ? "size-rewrite" : "mc-rewrite";
-    }
+    std::string_view name() const override { return "mc-rewrite"; }
     pass_stats run(xag& network, pass_context& ctx) const override
     {
         pass_stats ps;
@@ -50,17 +46,13 @@ public:
         ps.before = stats_of(network);
         for (uint32_t i = 0; i < params_.max_rounds; ++i) {
             defeat_reuse(ctx, oracle_);
-            const auto r =
-                size_ ? size_rewrite_round(network, ctx, params_.size_rewrite)
-                      : mc_rewrite_round(network, ctx, params_.rewrite);
+            const auto r = mc_rewrite_round(network, ctx, params_.rewrite);
             ps.rounds.push_back(r);
             if (r.status != outcome::ok) {
                 ps.status = r.status;
                 break;
             }
-            const auto extra_before = size_ ? r.xors_before : 0;
-            const auto extra_after = size_ ? r.xors_after : 0;
-            if (r.ands_after + extra_after >= r.ands_before + extra_before) {
+            if (r.ands_after >= r.ands_before) {
                 ps.converged = true;
                 break;
             }
@@ -71,7 +63,6 @@ public:
     }
 
 private:
-    bool size_;
     flow_params params_;
     oracle oracle_;
 };
@@ -81,11 +72,9 @@ inline flow make_oracle_flow(std::string_view spec,
                              const flow_params& params, oracle o)
 {
     auto f = make_flow(spec, params);
-    for (auto& p : f.passes) {
-        const bool size = p->name() == "size-rewrite";
-        if (size || p->name() == "mc-rewrite")
-            p = std::make_shared<oracle_rewrite_pass>(size, params, o);
-    }
+    for (auto& p : f.passes)
+        if (p->name() == "mc-rewrite")
+            p = std::make_shared<oracle_rewrite_pass>(params, o);
     return f;
 }
 

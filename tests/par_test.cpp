@@ -370,10 +370,12 @@ TEST(two_phase_determinism, hashes_family_budgeted)
     expect_thread_count_invariant(gen_md5(), "md5", budget, "mc");
 }
 
-TEST(two_phase_determinism, size_baseline_engine)
+TEST(two_phase_determinism, cut_size4_engine)
 {
-    expect_thread_count_invariant(gen_adder(12), "size-adder12", {},
-                                  "size-baseline");
+    flow_params params;
+    params.rewrite.cut_size = 4;
+    expect_thread_count_invariant(gen_adder(12), "cut4-adder12", params,
+                                  "mc");
 }
 
 TEST(two_phase_determinism, zero_gain_path)

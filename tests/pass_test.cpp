@@ -296,9 +296,10 @@ TEST(flow_engine, named_flows_build_and_unknown_names_throw)
 {
     EXPECT_NO_THROW(make_flow("mc"));
     EXPECT_NO_THROW(make_flow("mc+xor"));
-    EXPECT_NO_THROW(make_flow("size-baseline"));
     EXPECT_NO_THROW(make_flow("mc,xor,cleanup"));
     EXPECT_THROW(make_flow("frobnicate"), std::invalid_argument);
+    EXPECT_THROW(make_flow("size-baseline"), std::invalid_argument);
+    EXPECT_THROW(make_flow("size"), std::invalid_argument);
     EXPECT_THROW(make_flow(""), std::invalid_argument);
     EXPECT_EQ(make_flow("mc+xor+cleanup").passes.size(), 3u);
 }

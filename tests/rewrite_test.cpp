@@ -236,44 +236,6 @@ TEST(mc_rewrite_suite, respects_cut_size_parameter)
     EXPECT_EQ(net6.num_ands(), 8u);
 }
 
-TEST(size_rewrite_suite, reduces_naive_structures)
-{
-    // A chain of naive majorities has plenty of local redundancy for the
-    // generic optimizer.
-    auto net = ripple_adder(8, false);
-    const auto golden = simulate(net);
-    const auto gates_before = net.num_gates();
-    pass_context ctx;
-    size_rewrite_pass{}.run(net, ctx);
-    EXPECT_LT(net.num_gates(), gates_before);
-    EXPECT_EQ(simulate(net), golden);
-    net.check_integrity();
-}
-
-TEST(size_rewrite_suite, function_preserved_on_random_networks)
-{
-    for (const uint64_t seed : {14u, 15u}) {
-        auto net = random_network(seed, 8, 90, 6);
-        const auto golden = cleanup(net);
-        pass_context ctx;
-        size_rewrite_pass{}.run(net, ctx);
-        EXPECT_TRUE(exhaustive_equal(net, golden)) << "seed " << seed;
-        net.check_integrity();
-    }
-}
-
-TEST(size_rewrite_suite, does_not_optimize_ands_specifically)
-{
-    // The headline comparison of the paper: generic size optimization keeps
-    // many more AND gates than MC-aware rewriting on arithmetic logic.
-    auto generic = ripple_adder(12, false);
-    pass_context ctx;
-    size_rewrite_pass{}.run(generic, ctx);
-    auto mc_aware = ripple_adder(12, false);
-    mc_rewrite_pass{}.run(mc_aware, ctx);
-    EXPECT_GT(generic.num_ands(), mc_aware.num_ands());
-}
-
 TEST(mc_rewrite_suite, zero_gain_disabled_by_default)
 {
     auto net = ripple_adder(4, true);

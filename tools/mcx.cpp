@@ -6,7 +6,7 @@
 //
 //   $ mcx --flow mc+xor circuit.bench -o optimized.bench --report r.json
 //   $ mcx --flow mc gen:adder:64
-//   $ mcx --flow size-baseline --bristol input.txt -o out.txt
+//   $ mcx --flow cleanup+mc --bristol input.txt -o out.txt
 //   $ mcx --deadline 30 --flow mc gen:md5 -o best_effort.bench
 //   $ mcx --list-gens
 //
@@ -236,7 +236,7 @@ void write_report(const std::string& path, const std::string& input,
         std::fprintf(f, ", ");
         json_xag_stats(f, "after", p.after);
         std::fprintf(f, ", \"converged\": %s", p.converged ? "true" : "false");
-        if (p.pass_name == "mc-rewrite" || p.pass_name == "size-rewrite")
+        if (p.pass_name == "mc-rewrite")
             std::fprintf(
                 f,
                 ", \"db\": {\"hits\": %llu, \"misses\": %llu, "
@@ -373,7 +373,6 @@ private:
         const auto evaluated =
             obs::register_metric("rewrite.nodes_evaluated");
         const auto mc_miss = obs::register_metric("db.mc.miss");
-        const auto size_miss = obs::register_metric("db.size.miss");
         std::unique_lock lock{mutex_};
         while (!cv_.wait_for(lock, std::chrono::milliseconds{500},
                              [this] { return stop_; })) {
@@ -391,8 +390,7 @@ private:
                          "db_misses=%llu elapsed=%.1fs%s\n",
                          pass != nullptr ? pass : "-", round,
                          static_cast<unsigned long long>(evaluated.value()),
-                         static_cast<unsigned long long>(mc_miss.value() +
-                                                         size_miss.value()),
+                         static_cast<unsigned long long>(mc_miss.value()),
                          elapsed, deadline);
         }
     }
@@ -420,10 +418,10 @@ void usage(FILE* out)
         "  gen:<name>[:<arg>...]   built-in generator (see --list-gens)\n"
         "\n"
         "flow options:\n"
-        "  --flow <spec>           '+'-separated passes: mc, xor,\n"
-        "                          size-baseline, cleanup (default: mc)\n"
+        "  --flow <spec>           '+'-separated passes: mc, xor, cleanup\n"
+        "                          (default: mc)\n"
         "  --rounds <n>            max rounds per rewrite pass (default 100)\n"
-        "  --cut-size <k>          cut size 2..6 (default 6; size-baseline 4)\n"
+        "  --cut-size <k>          cut size 2..6 (default 6)\n"
         "  --cut-limit <l>         cuts kept per node, >= 1 (default 12)\n"
         "  --zero-gain             accept zero-gain replacements\n"
         "  --iterate               repeat the flow until AND convergence\n"
@@ -588,18 +586,15 @@ int main(int argc, char** argv)
         else if (arg == "--rounds")
             opt.params.max_rounds =
                 static_cast<uint32_t>(next_number(0, UINT32_MAX));
-        else if (arg == "--cut-size") {
-            const auto k = static_cast<uint32_t>(next_number(2, 6));
-            opt.params.rewrite.cut_size = k;
-            opt.params.size_rewrite.cut_size = std::min(k, 4u);
-        } else if (arg == "--cut-limit") {
-            const auto l = static_cast<uint32_t>(next_number(1, UINT32_MAX));
-            opt.params.rewrite.cut_limit = l;
-            opt.params.size_rewrite.cut_limit = l;
-        } else if (arg == "--zero-gain") {
+        else if (arg == "--cut-size")
+            opt.params.rewrite.cut_size =
+                static_cast<uint32_t>(next_number(2, 6));
+        else if (arg == "--cut-limit")
+            opt.params.rewrite.cut_limit =
+                static_cast<uint32_t>(next_number(1, UINT32_MAX));
+        else if (arg == "--zero-gain")
             opt.params.rewrite.allow_zero_gain = true;
-            opt.params.size_rewrite.allow_zero_gain = true;
-        } else if (arg == "--iterate")
+        else if (arg == "--iterate")
             opt.iterate = true;
         else if (arg == "-j" || arg == "--threads")
             opt.params.num_threads =
